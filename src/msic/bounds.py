@@ -14,16 +14,11 @@ many independent rows in any valid selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 from itertools import combinations
 
 from .codec import LinearCode, verify_code
-from .hypergraph import (
-    HyperEdge,
-    build,
-    complement,
-    sender_projection_pairs,
-)
+from .hypergraph import build, complement, sender_projection_pairs
 from .instance import Instance, check_valid
 
 __all__ = [
@@ -34,8 +29,6 @@ __all__ = [
     "clique_cover_upper",
     "complement_clique_lower",
     "induced_code",
-    "receiver_projection",
-    "is_valid_clique",
     "EXACT_NODE_CAP",
 ]
 
@@ -229,26 +222,3 @@ def complement_clique_lower(
             )
             return size, witness
     return 0, None
-
-
-def receiver_projection(edges: Iterable[HyperEdge]) -> FrozenSet[int]:
-    """Receivers appearing as the first coordinate of some edge."""
-    return frozenset(e.k for e in edges)
-
-
-def is_valid_clique(edges: Iterable[HyperEdge]) -> bool:
-    """Parity predicate on the sender-side pairs of a hypergraphic clique.
-
-    Collects the unordered sender pairs of the cross-sender edges and
-    requires every touched sender to have odd degree; with no
-    cross-sender edges the condition holds vacuously.  Cliqueness of
-    the input is assumed, not checked.
-    """
-    cs = {frozenset((e.n, e.n2)) for e in edges if e.n != e.n2}
-    if not cs:
-        return True
-    degree: Dict[int, int] = {}
-    for pair in cs:
-        for n in pair:
-            degree[n] = degree.get(n, 0) + 1
-    return all(d % 2 == 1 for d in degree.values())

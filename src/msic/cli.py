@@ -129,6 +129,8 @@ def _solve_value(inst: Instance, parallelism: Optional[int]):
         raise CLIError(f"infeasible instance: {exc}", EXIT_INFEASIBLE) from None
     except SearchCapError as exc:
         raise CLIError(str(exc), EXIT_CAP) from None
+    except ValueError as exc:  # a malformed MSIC_SEARCH_CAP
+        raise CLIError(str(exc), EXIT_PARSE) from None
 
 
 # ---- subcommands ----
@@ -349,6 +351,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---- argument parsing ----
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true",
                     help="print the JSON report instead of plain text")
@@ -369,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--emit-code", metavar="PATH",
                     help="write the derived code to PATH")
-    sp.add_argument("--parallel", type=int, metavar="N", default=None,
+    sp.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
                     help="worker processes (default: all cores; 1 = sequential)")
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_solve)

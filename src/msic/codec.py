@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from .gf2 import express_in_span, in_span_with_side_info, spanning_rows, support
-from .hypergraph import CompositeAdjacency, build, fits
+from .hypergraph import CompositeAdjacency, fits
 from .instance import Instance
 
 __all__ = [
@@ -133,7 +133,7 @@ def serialize_code(code: LinearCode) -> str:
 
 def code_from_fitting(A: CompositeAdjacency, inst: Instance) -> LinearCode:
     """Spanning rows of each block become that sender's transmissions."""
-    if fits(A, build(inst)) is None:
+    if fits(A, inst) is None:
         raise ValueError("matrix does not fit the instance's hypergraph")
     senders = []
     for block in A.blocks:
@@ -258,6 +258,6 @@ def code_to_fitting(code: LinearCode, inst: Instance) -> CompositeAdjacency:
     A = CompositeAdjacency(
         K=inst.K, N=inst.N, blocks=tuple(tuple(r) for r in rows)
     )
-    assert fits(A, build(inst)) is not None
+    assert fits(A, inst) is not None
     assert A.sum_rank() <= code_length(code)
     return A

@@ -14,7 +14,7 @@ is a list of N bit matrices A_1..A_N, one K x K block per sender.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .gf2 import gf2_rank
 from .instance import Instance, derive_stats
@@ -27,11 +27,9 @@ __all__ = [
     "build",
     "adjacency",
     "sub_adjacency",
-    "is_valid_sub",
     "fits",
     "complement",
     "sender_projection_pairs",
-    "choice_sort_key",
 ]
 
 DEMAND = "demand"
@@ -60,9 +58,6 @@ class HyperEdge:
         else:
             raise ValueError(f"unknown edge kind {self.kind!r}")
 
-    def senders(self) -> FrozenSet[int]:
-        return frozenset((self.n, self.n2))
-
 
 @dataclass(frozen=True)
 class SideInfoHypergraph:
@@ -70,9 +65,6 @@ class SideInfoHypergraph:
     demand: FrozenSet[HyperEdge]
     cached: FrozenSet[HyperEdge]
     coupled: FrozenSet[HyperEdge]
-
-    def all_edges(self) -> FrozenSet[HyperEdge]:
-        return self.demand | self.cached | self.coupled
 
 
 @dataclass(frozen=True)
@@ -210,28 +202,16 @@ def sub_adjacency(choice: SubChoice, inst: Instance) -> CompositeAdjacency:
     )
 
 
-def is_valid_sub(edges: Iterable[HyperEdge], hg: SideInfoHypergraph) -> bool:
-    """True iff edges all belong to hg and every receiver's selected
-    demand-edge count is odd."""
-    chosen = set(edges)
-    if not chosen <= hg.all_edges():
-        return False
-    for k in range(1, hg.inst.K + 1):
-        count = sum(1 for e in chosen if e.kind == DEMAND and e.k == k)
-        if count % 2 != 1:
-            return False
-    return True
-
-
-def fits(A: CompositeAdjacency, hg: SideInfoHypergraph) -> Optional[SubChoice]:
+def fits(A: CompositeAdjacency, inst: Instance) -> Optional[SubChoice]:
     """Witness selection whose sub-adjacency equals A, or None.
 
-    Classification per row k: a diagonal 1 must be a demand edge, a 1 in
-    a side-information column must be a cached edge, and any other 1
-    joins the coupled sender set of its column, which must then be an
-    even subset of that message's holders.
+    This is the one map from a matrix back to a `SubChoice`; the solver
+    recovers its witness selection through it.  Classification per row
+    k: a diagonal 1 must be a demand edge, a 1 in a side-information
+    column must be a cached edge, and any other 1 joins the coupled
+    sender set of its column, which must then be an even subset of that
+    message's holders.
     """
-    inst = hg.inst
     stats = derive_stats(inst)
     if A.K != inst.K or A.N != inst.N or len(A.blocks) != inst.N:
         return None
@@ -314,43 +294,3 @@ def sender_projection_pairs(hg: SideInfoHypergraph) -> Tuple[FrozenSet[Tuple[int
         if e.n == e.n2:
             pairs[e.n - 1].add((e.k, e.k2))
     return tuple(frozenset(p) for p in pairs)
-
-
-def choice_sort_key(choice: SubChoice, inst: Instance) -> Tuple[int, ...]:
-    """Flat integer key realizing the canonical order on selections.
-
-    Per receiver: demand mask over sorted holders, cached mask over the
-    (message, sender)-sorted cached edge list, then one mask per
-    coupled-eligible message in ascending order.  Receiver 1 is most
-    significant.
-    """
-    stats = derive_stats(inst)
-    key: List[int] = []
-    for k in range(1, inst.K + 1):
-        holders = sorted(stats.availability[k - 1])
-        dmask = 0
-        for i, n in enumerate(holders):
-            if n in choice.demand_senders[k - 1]:
-                dmask |= 1 << i
-        key.append(dmask)
-        edge_list = [
-            (m, n)
-            for m in sorted(inst.side_info[k - 1])
-            for n in sorted(stats.availability[m - 1])
-        ]
-        cmask = 0
-        for i, edge in enumerate(edge_list):
-            if edge in choice.cached_edges[k - 1]:
-                cmask |= 1 << i
-        key.append(cmask)
-        chosen = dict(choice.coupled_senders[k - 1])
-        for k2 in range(1, inst.K + 1):
-            if k2 == k or k2 in inst.side_info[k - 1]:
-                continue
-            senders = chosen.get(k2, frozenset())
-            mask = 0
-            for i, n in enumerate(sorted(stats.availability[k2 - 1])):
-                if n in senders:
-                    mask |= 1 << i
-            key.append(mask)
-    return tuple(key)

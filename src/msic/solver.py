@@ -3,10 +3,18 @@
 The search walks the Cartesian product of per-receiver selections
 (odd demand subsets x any cached subset x even coupled sender sets per
 unknown message), maintaining one XOR basis per sender so each block's
-rank updates incrementally.  Receiver 1 is the outermost loop and every
-per-receiver option list is ascending in its canonical mask order, so
-depth-first order equals the canonical order on selections and the
-first minimizer found is the canonically smallest witness.
+rank updates incrementally.
+
+The canonical order on selections lives here and nowhere else: in the
+option tables built by `_ReceiverTable`.  A table lists its options in
+ascending order of their mask keys (demand mask, cached mask, then one
+coupled mask per eligible message), and every key of one table has the
+same length, so an option's index orders exactly as its key does.
+Receiver 1 is the outermost loop, hence the tuple of option indices
+orders selections exactly as the concatenated keys would, depth-first
+order is the canonical order and the first minimizer found is the
+canonically smallest witness.  The witness selection is recovered from
+the witness matrix by `hypergraph.fits`.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gf2 import basis_add
-from .hypergraph import CompositeAdjacency, SubChoice, sub_adjacency
-from .instance import Instance, check_valid, derive_stats
+from .hypergraph import CompositeAdjacency, SubChoice, fits
+from .instance import DerivedStats, Instance, check_valid, derive_stats
 
 __all__ = [
     "SolveReport",
@@ -66,23 +74,10 @@ class ComplexityProfile:
 # ---- exponent calculators ----
 
 
-def _per_receiver_e1(inst: Instance, k: int) -> int:
-    stats = derive_stats(inst)
-    d = stats.replication
-    known = inst.side_info[k - 1]
-    others = sum(
-        max(d[k2 - 1] - 1, 0)
-        for k2 in range(1, inst.K + 1)
-        if k2 != k and k2 not in known
-    )
-    return max(d[k - 1] - 1, 0) + len(known) + others
-
-
 def search_space_size(inst: Instance) -> Tuple[int, int]:
     """(2**E1, E1): the advertised enumeration size and its exponent."""
-    check_valid(inst)
-    e1 = sum(_per_receiver_e1(inst, k) for k in range(1, inst.K + 1))
-    return 1 << e1, e1
+    profile = complexity_exponents(inst)
+    return profile.search_space, profile.e1
 
 
 def complexity_exponents(inst: Instance) -> ComplexityProfile:
@@ -142,15 +137,15 @@ def _even_masks(width: int) -> List[int]:
 class _ReceiverTable:
     """All selections of one receiver, in canonical ascending order.
 
-    options[i] is a tuple of per-sender row contributions; keys[i] the
-    matching (demand mask, cached mask, coupled masks...) tuple.
+    rows[i] is option i as a tuple of per-sender row contributions;
+    keys[i] is its canonical (demand mask, cached mask, coupled masks...)
+    tuple.  Options are generated in ascending key order, so index order
+    is key order.
     """
 
-    def __init__(self, inst: Instance, k: int):
-        stats = derive_stats(inst)
-        self.k = k
-        self.holders = sorted(stats.availability[k - 1])
-        self.cached_list = [
+    def __init__(self, inst: Instance, stats: DerivedStats, k: int):
+        holders = sorted(stats.availability[k - 1])
+        cached_list = [
             (m, n)
             for m in sorted(inst.side_info[k - 1])
             for n in sorted(stats.availability[m - 1])
@@ -160,9 +155,9 @@ class _ReceiverTable:
             for k2 in range(1, inst.K + 1)
             if k2 != k and k2 not in inst.side_info[k - 1]
         ]
-        demand_opts = _odd_masks(len(self.holders))
-        cached_opts = list(range(1 << len(self.cached_list)))
-        coupled_opts = [_even_masks(len(holders)) for _, holders in self.coupled_msgs]
+        demand_opts = _odd_masks(len(holders))
+        cached_opts = list(range(1 << len(cached_list)))
+        coupled_opts = [_even_masks(len(hs)) for _, hs in self.coupled_msgs]
 
         self.keys: List[Tuple[int, ...]] = []
         self.rows: List[Tuple[int, ...]] = []
@@ -170,12 +165,12 @@ class _ReceiverTable:
         n_senders = inst.N
         for dmask in demand_opts:
             base = [0] * n_senders
-            for i, n in enumerate(self.holders):
+            for i, n in enumerate(holders):
                 if (dmask >> i) & 1:
                     base[n - 1] |= kbit
             for cmask in cached_opts:
                 rows_c = base[:]
-                for i, (m, n) in enumerate(self.cached_list):
+                for i, (m, n) in enumerate(cached_list):
                     if (cmask >> i) & 1:
                         rows_c[n - 1] |= 1 << (m - 1)
                 self._expand_coupled(rows_c, (dmask, cmask), coupled_opts, 0)
@@ -194,25 +189,10 @@ class _ReceiverTable:
                     rows_c[n - 1] |= bit
             self._expand_coupled(rows_c, key + (mask,), coupled_opts, depth + 1)
 
-    def decode(self, index: int) -> Tuple[frozenset, frozenset, tuple]:
-        """Selection at `index` as (demand senders, cached edges, coupled pairs)."""
-        key = self.keys[index]
-        dmask, cmask = key[0], key[1]
-        demand = frozenset(n for i, n in enumerate(self.holders) if (dmask >> i) & 1)
-        cached = frozenset(
-            edge for i, edge in enumerate(self.cached_list) if (cmask >> i) & 1
-        )
-        coupled = []
-        for j, (k2, holders) in enumerate(self.coupled_msgs):
-            mask = key[2 + j]
-            if mask:
-                senders = frozenset(n for i, n in enumerate(holders) if (mask >> i) & 1)
-                coupled.append((k2, senders))
-        return demand, cached, tuple(coupled)
-
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
-    return [_ReceiverTable(inst, k) for k in range(1, inst.K + 1)]
+    stats = derive_stats(inst)
+    return [_ReceiverTable(inst, stats, k) for k in range(1, inst.K + 1)]
 
 
 # ---- the search itself ----
@@ -259,12 +239,12 @@ def _search(
     prune: bool,
     first_range: range,
     incumbent: int,
-) -> Tuple[Optional[int], Optional[Tuple[int, ...]], Optional[Tuple[int, ...]], int]:
-    """Depth-first scan; returns (value, key, option indices, leaves)."""
+) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
+    """Depth-first scan; returns (value, option indices, leaves)."""
     K = len(tables)
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     combo = [0] * K
-    state = {"best": incumbent, "key": None, "combo": None, "leaves": 0, "rank": 0}
+    state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0}
 
     def descend(level: int, indices) -> None:
         table = tables[level]
@@ -286,50 +266,44 @@ def _search(
                 state["leaves"] += 1
                 if state["rank"] < state["best"]:
                     state["best"] = state["rank"]
-                    state["key"] = tuple(
-                        part for lvl in range(K) for part in tables[lvl].keys[combo[lvl]]
-                    )
                     state["combo"] = tuple(combo)
             elif not prune or state["rank"] < state["best"]:
-                descend(level + 1, range(len(tables[level + 1].keys)))
+                descend(level + 1, range(len(tables[level + 1].rows)))
             state["rank"] -= delta
             for n, pivot in added:
                 del pivots[n][pivot]
 
     descend(0, first_range)
     if state["combo"] is None:
-        return None, None, None, state["leaves"]
-    return state["best"], state["key"], state["combo"], state["leaves"]
+        return None, None, state["leaves"]
+    return state["best"], state["combo"], state["leaves"]
 
 
-def _solve_chunk(inst: Instance, start: int, end: int, prune: bool, incumbent: int):
-    tables = _build_tables(inst)
-    return _search(tables, inst.N, prune, range(start, end), incumbent)
+# Set in each forked worker by the pool initializer.  Fork hands the
+# initializer's arguments over without pickling, so workers search the
+# parent's tables instead of rebuilding them.
+_worker_tables: Sequence[_ReceiverTable] = ()
 
 
-def _combo_to_choice(tables: Sequence[_ReceiverTable], combo: Sequence[int]) -> SubChoice:
-    demand = []
-    cached = []
-    coupled = []
-    for table, idx in zip(tables, combo):
-        d, c, co = table.decode(idx)
-        demand.append(d)
-        cached.append(c)
-        coupled.append(co)
-    return SubChoice(
-        demand_senders=tuple(demand),
-        cached_edges=tuple(cached),
-        coupled_senders=tuple(coupled),
-    )
+def _adopt_tables(tables: Sequence[_ReceiverTable]) -> None:
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _solve_chunk(N: int, start: int, end: int, prune: bool, incumbent: int):
+    return _search(_worker_tables, N, prune, range(start, end), incumbent)
 
 
 def _effective_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
     raw = os.environ.get(SEARCH_CAP_ENV)
-    if raw is not None:
+    if raw is None:
+        return DEFAULT_SEARCH_CAP
+    try:
         return int(raw)
-    return DEFAULT_SEARCH_CAP
+    except ValueError:
+        raise ValueError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def hyperminrank(
@@ -341,55 +315,64 @@ def hyperminrank(
     """Exact minimum of the summed block ranks, with witness.
 
     parallelism > 1 splits receiver 1's options into contiguous chunks
-    handled by worker processes; each worker reduces its chunk to a
-    (value, canonical key) pair and the final merge is associative, so
-    the result does not depend on scheduling.  Chunking is only engaged
-    when the search is large enough for process startup to pay off.
+    handled by forked worker processes that search the parent's option
+    tables; each worker reduces its chunk to a (value, option indices)
+    pair and the final merge takes the minimum, so the result does not
+    depend on scheduling.  Chunking is only engaged when the search is
+    large enough for process startup to pay off.
 
-    Raises InstanceValidationError for infeasible instances and
+    Raises InstanceValidationError for infeasible instances,
     SearchCapError when the advertised exponent exceeds the cap
-    (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`).
+    (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`)
+    and ValueError when MSIC_SEARCH_CAP is not an integer.
     """
-    check_valid(inst)
-    _, e1 = search_space_size(inst)
+    profile = complexity_exponents(inst)
     effective = _effective_cap(cap)
-    if e1 > effective:
+    if profile.e1 > effective:
         raise SearchCapError(
-            f"search exponent E1={e1} exceeds cap {effective}; "
+            f"search exponent E1={profile.e1} exceeds cap {effective}; "
             f"raise {SEARCH_CAP_ENV} or pass a larger cap to proceed"
         )
     started = time.perf_counter()
     if parallelism is None:
         parallelism = os.cpu_count() or 1
     tables = _build_tables(inst)
-    total_exponent = sum(
-        (len(t.keys) - 1).bit_length() if len(t.keys) > 1 else 0 for t in tables
-    )
     if prune:
         incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
     else:
         incumbent = inst.K + 1
-    first_count = len(tables[0].keys)
+    first_count = len(tables[0].rows)
     workers = min(parallelism, first_count)
-    if workers <= 1 or total_exponent < PARALLEL_MIN_EXPONENT:
-        value, _, combo, leaves = _search(
+    # Table k holds exactly 2**E2_k options, so E2 is the log of the
+    # unpruned search size.
+    if workers <= 1 or profile.e2 < PARALLEL_MIN_EXPONENT:
+        value, combo, leaves = _search(
             tables, inst.N, prune, range(first_count), incumbent
         )
     else:
         bounds = [round(i * first_count / workers) for i in range(workers + 1)]
         jobs = [
-            (inst, bounds[i], bounds[i + 1], prune, incumbent)
+            (inst.N, bounds[i], bounds[i + 1], prune, incumbent)
             for i in range(workers)
             if bounds[i] < bounds[i + 1]
         ]
-        with get_context("fork").Pool(processes=len(jobs)) as pool:
+        with get_context("fork").Pool(
+            processes=len(jobs), initializer=_adopt_tables, initargs=(tables,)
+        ) as pool:
             results = pool.starmap(_solve_chunk, jobs)
-        leaves = sum(r[3] for r in results)
-        hits = [(r[0], r[1], r[2]) for r in results if r[0] is not None]
-        value, _, combo = min(hits, key=lambda h: (h[0], h[1]))
+        leaves = sum(r[2] for r in results)
+        value, combo = min((r[0], r[1]) for r in results if r[0] is not None)
     assert combo is not None
-    choice = _combo_to_choice(tables, combo)
-    witness = sub_adjacency(choice, inst)
+    witness = CompositeAdjacency(
+        K=inst.K,
+        N=inst.N,
+        blocks=tuple(
+            tuple(table.rows[idx][n] for table, idx in zip(tables, combo))
+            for n in range(inst.N)
+        ),
+    )
+    choice = fits(witness, inst)
+    assert choice is not None
     assert witness.sum_rank() == value
     return SolveReport(
         hyperminrank=value,

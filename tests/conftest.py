@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
 from importlib import resources
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import pytest
 
-from msic.instance import Instance, generate_random, parse_instance
+from msic.hypergraph import SubChoice
+from msic.instance import Instance, derive_stats, generate_random, parse_instance
 
 
 def corpus_text(name: str) -> str:
@@ -28,6 +30,61 @@ def random_suite(count: int = 50) -> List[Instance]:
         r0 = rng.randint(0, min(2, K - 1))
         out.append(generate_random(K, N, delta=delta, r0=r0, seed=seed))
     return out
+
+
+def all_choices(inst: Instance) -> Iterator[SubChoice]:
+    """Independent first-principles enumeration of valid selections."""
+    stats = derive_stats(inst)
+    per_receiver = []
+    for k in range(1, inst.K + 1):
+        holders = sorted(stats.availability[k - 1])
+        demand = [
+            frozenset(c)
+            for size in range(1, len(holders) + 1, 2)
+            for c in itertools.combinations(holders, size)
+        ]
+        cedges = [
+            (m, n)
+            for m in sorted(inst.side_info[k - 1])
+            for n in sorted(stats.availability[m - 1])
+        ]
+        cached = [
+            frozenset(c)
+            for size in range(len(cedges) + 1)
+            for c in itertools.combinations(cedges, size)
+        ]
+        eligible = [
+            k2
+            for k2 in range(1, inst.K + 1)
+            if k2 != k and k2 not in inst.side_info[k - 1]
+        ]
+        per_msg = []
+        for k2 in eligible:
+            hs = sorted(stats.availability[k2 - 1])
+            per_msg.append(
+                [
+                    (k2, frozenset(c))
+                    for size in range(0, len(hs) + 1, 2)
+                    for c in itertools.combinations(hs, size)
+                ]
+            )
+        coupled = (
+            [
+                tuple((k2, s) for k2, s in combo if s)
+                for combo in itertools.product(*per_msg)
+            ]
+            if per_msg
+            else [()]
+        )
+        per_receiver.append(
+            [(d, c, co) for d in demand for c in cached for co in coupled]
+        )
+    for combo in itertools.product(*per_receiver):
+        yield SubChoice(
+            demand_senders=tuple(x[0] for x in combo),
+            cached_edges=tuple(x[1] for x in combo),
+            coupled_senders=tuple(x[2] for x in combo),
+        )
 
 
 @pytest.fixture(scope="session")

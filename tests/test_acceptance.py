@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import random_suite
+from conftest import all_choices, random_suite
 from msic.bounds import clique_cover_upper, complement_clique_lower
 from msic.codec import (
     code_from_fitting,
@@ -23,7 +23,7 @@ from msic.codec import (
     verify_code,
 )
 from msic.gf2 import support
-from msic.hypergraph import CompositeAdjacency, SubChoice, build, fits, sub_adjacency
+from msic.hypergraph import CompositeAdjacency, fits, sub_adjacency
 from msic.instance import (
     Instance,
     derive_stats,
@@ -72,7 +72,7 @@ def test_criterion_3_converse(ex1):
     code = load_code('{"code":[[[1,1,0]],[[0,1,1]],[]]}', ex1)
     fitting = code_to_fitting(code, ex1)
     assert fitting.sum_rank() == 2
-    assert fits(fitting, build(ex1)) is not None
+    assert fits(fitting, ex1) is not None
 
 
 @pytest.mark.acceptance("4", "solver equals brute-force oracle on the 50-instance "
@@ -142,61 +142,6 @@ def test_criterion_7_embedded_exponent():
         assert (profile.e_embedded == stats.total_load) == tight
 
 
-def _all_choices(inst):
-    """Independent first-principles enumeration of valid selections."""
-    stats = derive_stats(inst)
-    per_receiver = []
-    for k in range(1, inst.K + 1):
-        holders = sorted(stats.availability[k - 1])
-        demand = [
-            frozenset(c)
-            for size in range(1, len(holders) + 1, 2)
-            for c in itertools.combinations(holders, size)
-        ]
-        cedges = [
-            (m, n)
-            for m in sorted(inst.side_info[k - 1])
-            for n in sorted(stats.availability[m - 1])
-        ]
-        cached = [
-            frozenset(c)
-            for size in range(len(cedges) + 1)
-            for c in itertools.combinations(cedges, size)
-        ]
-        eligible = [
-            k2
-            for k2 in range(1, inst.K + 1)
-            if k2 != k and k2 not in inst.side_info[k - 1]
-        ]
-        per_msg = []
-        for k2 in eligible:
-            hs = sorted(stats.availability[k2 - 1])
-            per_msg.append(
-                [
-                    (k2, frozenset(c))
-                    for size in range(0, len(hs) + 1, 2)
-                    for c in itertools.combinations(hs, size)
-                ]
-            )
-        coupled = (
-            [
-                tuple((k2, s) for k2, s in combo if s)
-                for combo in itertools.product(*per_msg)
-            ]
-            if per_msg
-            else [()]
-        )
-        per_receiver.append(
-            [(d, c, co) for d in demand for c in cached for co in coupled]
-        )
-    for combo in itertools.product(*per_receiver):
-        yield SubChoice(
-            demand_senders=tuple(x[0] for x in combo),
-            cached_edges=tuple(x[1] for x in combo),
-            coupled_senders=tuple(x[2] for x in combo),
-        )
-
-
 @pytest.mark.acceptance("8", "for every K<=2, N<=2 instance the enumerated "
                              "matrices coincide exactly with everything fits() accepts")
 def test_criterion_8_enumeration_completeness():
@@ -218,10 +163,9 @@ def test_criterion_8_enumeration_completeness():
                     if validate(inst):
                         continue
                     instances += 1
-                    hg = build(inst)
                     enumerated = {
                         sub_adjacency(choice, inst).blocks
-                        for choice in _all_choices(inst)
+                        for choice in all_choices(inst)
                     }
                     accepted = set()
                     bits = K * K * N
@@ -235,7 +179,7 @@ def test_criterion_8_enumeration_completeness():
                                 pos += K
                             blocks.append(tuple(rows))
                         A = CompositeAdjacency(K=K, N=N, blocks=tuple(blocks))
-                        if fits(A, hg) is not None:
+                        if fits(A, inst) is not None:
                             accepted.add(A.blocks)
                     assert enumerated == accepted, serialize_instance(inst)
     assert instances == 44

@@ -10,11 +10,8 @@ from msic.bounds import (
     complement_clique_lower,
     enumerate_implementable_cliques,
     induced_code,
-    is_valid_clique,
-    receiver_projection,
 )
 from msic.codec import verify_code
-from msic.hypergraph import CACHED, COUPLED, DEMAND, HyperEdge
 from msic.instance import Instance
 from msic.solver import hyperminrank, minrank_single
 
@@ -135,33 +132,6 @@ def test_upper_bounds_single_sender_minrank():
     upper, _ = clique_cover_upper(inst, mode="exact")
     assert minrank_single(inst) <= upper
     assert upper == 2
-
-
-def test_receiver_projection():
-    assert receiver_projection([]) == frozenset()
-    edges = {
-        HyperEdge(2, 5, 1, 3, COUPLED),
-        HyperEdge(4, 4, 2, 2, DEMAND),
-        HyperEdge(2, 3, 1, 1, CACHED),
-    }
-    assert receiver_projection(edges) == frozenset({2, 4})
-
-
-def test_valid_clique_parity():
-    assert is_valid_clique([])
-    assert is_valid_clique([HyperEdge(1, 1, 1, 1, DEMAND)])
-    one_pair = [HyperEdge(1, 2, 1, 2, COUPLED)]
-    assert is_valid_clique(one_pair)
-    fan = [
-        HyperEdge(1, 2, 1, 2, COUPLED),
-        HyperEdge(1, 2, 1, 3, COUPLED),
-    ]
-    assert not is_valid_clique(fan)  # sender 1 has even degree 2
-    disjoint = [
-        HyperEdge(1, 2, 1, 2, COUPLED),
-        HyperEdge(1, 2, 3, 4, COUPLED),
-    ]
-    assert is_valid_clique(disjoint)
 
 
 def test_cover_type_shapes(ex2):

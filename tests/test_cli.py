@@ -103,6 +103,28 @@ def test_solve_cap_exits_4(corpus_dir, capsys, monkeypatch):
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "ex1.json"),
+    ("oracle", "ex1.json"),
+    ("bounds", "ex1.json", "--with-exact-solve"),
+])
+def test_malformed_search_cap_exits_2(corpus_dir, capsys, monkeypatch, argv):
+    monkeypatch.setenv("MSIC_SEARCH_CAP", "abc")
+    command, name, *flags = argv
+    rc, out, err = run(capsys, command, str(corpus_dir / name), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: MSIC_SEARCH_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_solve_rejects_parallel_below_one(corpus_dir, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(corpus_dir / "ex1.json"), "--parallel", value])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
+
+
 def test_verify_corpus_codes(corpus_dir, capsys):
     for name in ("ex1_code_a.json", "ex1_code_b.json"):
         rc, _, _ = run(capsys, "verify", str(corpus_dir / "ex1.json"),

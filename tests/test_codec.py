@@ -17,7 +17,7 @@ from msic.codec import (
     serialize_code,
     verify_code,
 )
-from msic.hypergraph import CompositeAdjacency, build, fits
+from msic.hypergraph import CompositeAdjacency, fits
 from msic.solver import hyperminrank
 
 # Rank-3 fitting of ex1: induces x1+x2 at sender 1, x3 at 2, x1+x3 at 3.
@@ -91,7 +91,7 @@ def test_code_to_fitting_reproduces_converse(ex1):
     code = load_corpus_code("ex1_code_b.json", ex1)
     A = code_to_fitting(code, ex1)
     assert A.sum_rank() == 2
-    assert fits(A, build(ex1)) is not None
+    assert fits(A, ex1) is not None
     assert A.blocks == ((3, 0, 3), (0, 6, 6), (0, 0, 0))
 
 

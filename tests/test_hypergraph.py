@@ -15,7 +15,6 @@ from msic.hypergraph import (
     build,
     complement,
     fits,
-    is_valid_sub,
     sender_projection_pairs,
     sub_adjacency,
 )
@@ -69,8 +68,7 @@ def test_full_adjacency_fits_only_with_odd_replication(ex1, ex2, ex3):
     for inst in (ex1, ex2, ex3):
         stats = derive_stats(inst)
         assert any(d % 2 == 0 for d in stats.replication)
-        hg = build(inst)
-        assert fits(adjacency(hg), hg) is None
+        assert fits(adjacency(build(inst)), inst) is None
 
     odd = Instance(
         K=2,
@@ -78,10 +76,9 @@ def test_full_adjacency_fits_only_with_odd_replication(ex1, ex2, ex3):
         sender_stores=(frozenset({1, 2}),),
         side_info=(frozenset({2}), frozenset({1})),
     )
-    hg = build(odd)
-    A = adjacency(hg)
+    A = adjacency(build(odd))
     assert A.blocks == ((3, 3),)
-    choice = fits(A, hg)
+    choice = fits(A, odd)
     assert choice is not None
     assert choice.demand_senders == (frozenset({1}), frozenset({1}))
     assert choice.cached_edges == (frozenset({(2, 1)}), frozenset({(1, 1)}))
@@ -90,31 +87,28 @@ def test_full_adjacency_fits_only_with_odd_replication(ex1, ex2, ex3):
 
 
 def test_fits_rejects_misplaced_entries(ex1):
-    hg = build(ex1)
     # demand at a sender that does not store the message: A_2 row 1 diag
     bad = CompositeAdjacency(K=3, N=3, blocks=((0, 0, 0), (1, 0, 0), (0, 0, 0)))
-    assert fits(bad, hg) is None
+    assert fits(bad, ex1) is None
     # even number of demand edges for receiver 1
     bad = CompositeAdjacency(K=3, N=3, blocks=((1, 0, 0), (0, 0, 0), (1, 0, 0)))
-    assert fits(bad, hg) is None
+    assert fits(bad, ex1) is None
     # coupled support with odd sender count: message 3 lives at senders 2,3
     bad = CompositeAdjacency(K=3, N=3, blocks=((1, 0, 0), (4, 0, 0), (0, 0, 0)))
-    assert fits(bad, hg) is None
+    assert fits(bad, ex1) is None
 
 
 def test_fits_accepts_even_coupled_pair(ex1):
-    hg = build(ex1)
     # receiver 1 takes demand at sender 1 plus x3 at both of senders 2 and 3;
     # receivers 2 and 3 take unit demands
     A = CompositeAdjacency(K=3, N=3, blocks=((1, 2, 0), (4, 0, 4), (4, 0, 0)))
-    choice = fits(A, hg)
+    choice = fits(A, ex1)
     assert choice is not None
     assert choice.coupled_senders[0] == ((3, frozenset({2, 3})),)
     assert choice.demand_senders == (frozenset({1}), frozenset({1}), frozenset({2}))
 
 
 def test_sub_adjacency_round_trip_random(ex2):
-    hg = build(ex2)
     rng = random.Random(7)
     stats_holders = [sorted(ex2.stores_of(m)) for m in range(1, 7)]
     for _ in range(50):
@@ -144,22 +138,7 @@ def test_sub_adjacency_round_trip_random(ex2):
             coupled_senders=tuple(coupled),
         )
         A = sub_adjacency(choice, ex2)
-        assert fits(A, hg) == choice
-
-
-def test_is_valid_sub_demand_parity(ex1):
-    hg = build(ex1)
-    edges = {
-        HyperEdge(1, 1, 1, 1, DEMAND),
-        HyperEdge(2, 2, 1, 1, DEMAND),
-        HyperEdge(3, 3, 2, 2, DEMAND),
-    }
-    assert is_valid_sub(edges, hg)
-    edges.add(HyperEdge(1, 1, 3, 3, DEMAND))
-    assert not is_valid_sub(edges, hg)  # receiver 1 now even
-    edges.discard(HyperEdge(1, 1, 3, 3, DEMAND))
-    edges.add(HyperEdge(1, 2, 1, 1, CACHED))
-    assert is_valid_sub(edges, hg)
+        assert fits(A, ex2) == choice
 
 
 def test_complement_ex1_projections(ex1):

@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_suite
+from conftest import all_choices, random_suite
 from msic.codec import code_from_fitting, verify_code
-from msic.hypergraph import build, fits
-from msic.instance import Instance, InstanceValidationError, derive_stats
+from msic.hypergraph import fits, sub_adjacency
+from msic.instance import (
+    Instance,
+    InstanceValidationError,
+    derive_stats,
+    serialize_instance,
+)
 from msic.solver import (
     SearchCapError,
     complexity_exponents,
@@ -28,7 +33,7 @@ def test_witness_fits_and_verifies(ex1, ex2, ex3):
     for inst in (ex1, ex2, ex3):
         report = hyperminrank(inst, parallelism=1)
         assert report.witness.sum_rank() == report.hyperminrank
-        assert fits(report.witness, build(inst)) is not None
+        assert fits(report.witness, inst) is not None
         code = code_from_fitting(report.witness, inst)
         assert verify_code(code, inst, mode="simulate")
 
@@ -72,6 +77,56 @@ def test_pruned_and_unpruned_agree():
         assert fast.witness_choice == slow.witness_choice
         assert fast.candidates_examined <= slow.candidates_examined
     assert checked >= 10
+
+
+def _mask_key(choice, inst):
+    """Canonical order of one selection, stated independently of the solver.
+
+    Per receiver: demand mask over the sorted holders of k, cached mask
+    over the (message, sender)-sorted cached edges, then one mask per
+    message k2 that k neither wants nor knows, over its sorted holders.
+    Receiver 1 is most significant.
+    """
+    stats = derive_stats(inst)
+
+    def mask(items, chosen):
+        return sum(1 << i for i, item in enumerate(items) if item in chosen)
+
+    key = []
+    for k in range(1, inst.K + 1):
+        cached_edges = [
+            (m, n)
+            for m in sorted(inst.side_info[k - 1])
+            for n in sorted(stats.availability[m - 1])
+        ]
+        coupled = dict(choice.coupled_senders[k - 1])
+        key.append(
+            (
+                mask(sorted(stats.availability[k - 1]), choice.demand_senders[k - 1]),
+                mask(cached_edges, choice.cached_edges[k - 1]),
+            )
+            + tuple(
+                mask(sorted(stats.availability[k2 - 1]), coupled.get(k2, ()))
+                for k2 in range(1, inst.K + 1)
+                if k2 != k and k2 not in inst.side_info[k - 1]
+            )
+        )
+    return tuple(key)
+
+
+def test_witness_is_canonically_first(ex1, ex3):
+    instances = [ex1, ex3] + [
+        inst for inst in random_suite(50) if complexity_exponents(inst).e2 <= 12
+    ]
+    assert len(instances) >= 40
+    for inst in instances:
+        expected = min(
+            all_choices(inst),
+            key=lambda c: (sub_adjacency(c, inst).sum_rank(), _mask_key(c, inst)),
+        )
+        for prune in (True, False):
+            report = hyperminrank(inst, parallelism=1, prune=prune)
+            assert report.witness_choice == expected, serialize_instance(inst)
 
 
 def test_parallel_matches_sequential(ex2):
