@@ -29,6 +29,7 @@ from .hypergraph import (
 )
 from .solver import (
     ComplexityProfile,
+    SearchCapConfigError,
     SearchCapError,
     SolveReport,
     complexity_exponents,
@@ -78,6 +79,7 @@ __all__ = [
     "sub_adjacency",
     "ComplexityProfile",
     "SearchCapError",
+    "SearchCapConfigError",
     "SolveReport",
     "complexity_exponents",
     "hyperminrank",

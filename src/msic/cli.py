@@ -39,7 +39,12 @@ from .instance import (
     serialize_instance,
 )
 from .oracle import optimal_linear_code_bruteforce
-from .solver import SearchCapError, complexity_exponents, hyperminrank
+from .solver import (
+    SearchCapConfigError,
+    SearchCapError,
+    complexity_exponents,
+    hyperminrank,
+)
 
 __all__ = ["main", "cli_entrypoint", "CLIError"]
 
@@ -129,7 +134,7 @@ def _solve_value(inst: Instance, parallelism: Optional[int]):
         raise CLIError(f"infeasible instance: {exc}", EXIT_INFEASIBLE) from None
     except SearchCapError as exc:
         raise CLIError(str(exc), EXIT_CAP) from None
-    except ValueError as exc:  # a malformed MSIC_SEARCH_CAP
+    except SearchCapConfigError as exc:
         raise CLIError(str(exc), EXIT_PARSE) from None
 
 

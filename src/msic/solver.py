@@ -34,6 +34,7 @@ __all__ = [
     "SolveReport",
     "ComplexityProfile",
     "SearchCapError",
+    "SearchCapConfigError",
     "hyperminrank",
     "search_space_size",
     "complexity_exponents",
@@ -48,6 +49,10 @@ PARALLEL_MIN_EXPONENT = 16
 
 class SearchCapError(RuntimeError):
     """Search-space exponent exceeds the configured cap."""
+
+
+class SearchCapConfigError(ValueError):
+    """MSIC_SEARCH_CAP is set but is not an integer."""
 
 
 @dataclass(frozen=True)
@@ -303,7 +308,7 @@ def _effective_cap(cap: Optional[int]) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise SearchCapConfigError(f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def hyperminrank(
@@ -324,7 +329,7 @@ def hyperminrank(
     Raises InstanceValidationError for infeasible instances,
     SearchCapError when the advertised exponent exceeds the cap
     (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`)
-    and ValueError when MSIC_SEARCH_CAP is not an integer.
+    and SearchCapConfigError when MSIC_SEARCH_CAP is not an integer.
     """
     profile = complexity_exponents(inst)
     effective = _effective_cap(cap)

@@ -117,6 +117,15 @@ def test_malformed_search_cap_exits_2(corpus_dir, capsys, monkeypatch, argv):
     assert err == "error: MSIC_SEARCH_CAP must be an integer, got 'abc'\n"
 
 
+def test_solver_value_error_is_not_an_input_error(corpus_dir, monkeypatch):
+    def broken(inst, parallelism=1):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("msic.cli.hyperminrank", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", str(corpus_dir / "ex1.json")])
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
 def test_solve_rejects_parallel_below_one(corpus_dir, capsys, value):
     with pytest.raises(SystemExit) as exc:
