@@ -3,7 +3,10 @@
 The search walks the Cartesian product of per-receiver selections
 (odd demand subsets x any cached subset x even coupled sender sets per
 unknown message), maintaining one XOR basis per sender so each block's
-rank updates incrementally.
+rank updates incrementally.  A basis is a list of K pivot slots indexed
+by bit position; rows are inserted in place and undone by zeroing the
+slot they filled, and the last receiver's options are only probed
+(reduced against the bases, never inserted).
 
 The canonical order on selections lives here and nowhere else: in the
 option tables built by `_ReceiverTable`.  A table lists its options in
@@ -24,9 +27,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .gf2 import basis_add
+# Not called here: the search inlines elimination on list-indexed pivots.
+# bench/pin.py still rebinds `solver.basis_add` to count work.
+from .gf2 import basis_add  # noqa: F401
 from .hypergraph import CompositeAdjacency, SubChoice, fits
 from .instance import DerivedStats, Instance, check_valid, derive_stats
 
@@ -212,29 +217,37 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     true minimum keeps the canonically-first witness reachable, so this
     never changes the reported result.
     """
-    pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
+    K = len(tables)
+    pivots = [[0] * K for _ in range(N)]
     total = 0
     for table in tables:
         best_idx = 0
-        best_delta = None
+        best_delta = N + 1
         for idx, rows in enumerate(table.rows):
             delta = 0
-            for n in range(N):
-                row = rows[n]
-                if row:
-                    probe = dict(pivots[n])
-                    if basis_add(probe, row) is not None:
+            for pv, row in zip(pivots, rows):
+                while row:
+                    v = pv[row.bit_length() - 1]
+                    if not v:
                         delta += 1
-            if best_delta is None or delta < best_delta:
+                        break
+                    row ^= v
+                if delta >= best_delta:
+                    break
+            else:
                 best_delta = delta
                 best_idx = idx
-                if delta == 0:
+                if not delta:
                     break
-        for n in range(N):
-            row = table.rows[best_idx][n]
-            if row:
-                basis_add(pivots[n], row)
-        total += best_delta or 0
+        for pv, row in zip(pivots, table.rows[best_idx]):
+            while row:
+                p = row.bit_length() - 1
+                v = pv[p]
+                if not v:
+                    pv[p] = row
+                    break
+                row ^= v
+        total += best_delta
     return total
 
 
@@ -245,43 +258,100 @@ def _search(
     first_range: range,
     incumbent: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
-    """Depth-first scan; returns (value, option indices, leaves)."""
+    """Depth-first scan; returns (value, option indices, leaves).
+
+    Sender n's XOR basis is pivots[n], a list of K slots indexed by the
+    pivot bit (0 = empty slot).  Above the last level each row is
+    reduced and inserted in place; the slots it filled are recorded in
+    the level's undo lists and zeroed on the way back.  With pruning,
+    insertion stops as soon as the rank reaches the incumbent, since
+    that option is cut anyway, and a level stops once its parent's rank
+    alone reaches it.  The last level only probes: rows are reduced but
+    never inserted, and an option's reduction stops once it cannot beat
+    the incumbent.  Every last-level option still counts as a leaf.
+    """
     K = len(tables)
-    pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
+    last = K - 1
+    all_rows = [table.rows for table in tables]
+    last_rows = all_rows[last]
+    full = [range(len(rows)) for rows in all_rows]
+    pivots = [[0] * K for _ in range(N)]
+    undo_pivots = [[pivots[0]] * N for _ in range(K)]
+    undo_slots = [[0] * N for _ in range(K)]
     combo = [0] * K
-    state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0}
+    best = incumbent
+    found: Optional[Tuple[int, ...]] = None
+    leaves = 0
+    unlimited = N + 1
 
-    def descend(level: int, indices) -> None:
-        table = tables[level]
-        last = level == K - 1
+    def probe(indices: range, rank: int) -> None:
+        nonlocal best, found, leaves
+        leaves += len(indices)
+        room = best - rank
         for idx in indices:
-            rows = table.rows[idx]
-            combo[level] = idx
-            added = []
             delta = 0
-            for n in range(N):
-                row = rows[n]
-                if row:
-                    pivot = basis_add(pivots[n], row)
-                    if pivot is not None:
-                        added.append((n, pivot))
+            for pv, row in zip(pivots, last_rows[idx]):
+                while row:
+                    v = pv[row.bit_length() - 1]
+                    if not v:
                         delta += 1
-            state["rank"] += delta
-            if last:
-                state["leaves"] += 1
-                if state["rank"] < state["best"]:
-                    state["best"] = state["rank"]
-                    state["combo"] = tuple(combo)
-            elif not prune or state["rank"] < state["best"]:
-                descend(level + 1, range(len(tables[level + 1].rows)))
-            state["rank"] -= delta
-            for n, pivot in added:
-                del pivots[n][pivot]
+                        break
+                    row ^= v
+                if delta >= room:
+                    break
+            else:
+                best = rank + delta
+                combo[last] = idx
+                found = tuple(combo)
+                if not delta:
+                    return
+                room = delta
 
-    descend(0, first_range)
-    if state["combo"] is None:
-        return None, None, state["leaves"]
-    return state["best"], state["combo"], state["leaves"]
+    def descend(level: int, indices: range, rank: int) -> None:
+        rows_of = all_rows[level]
+        touched = undo_pivots[level]
+        slots = undo_slots[level]
+        child = level + 1
+        for idx in indices:
+            if prune:
+                room = best - rank
+                if room <= 0:
+                    return
+            else:
+                room = unlimited
+            added = 0
+            for pv, row in zip(pivots, rows_of[idx]):
+                while row:
+                    p = row.bit_length() - 1
+                    v = pv[p]
+                    if not v:
+                        pv[p] = row
+                        touched[added] = pv
+                        slots[added] = p
+                        added += 1
+                        break
+                    row ^= v
+                else:
+                    continue  # dependent row: nothing inserted
+                if added >= room:
+                    break  # cut: the rank reached the incumbent
+            else:
+                combo[level] = idx
+                if child == last:
+                    probe(full[last], rank + added)
+                else:
+                    descend(child, full[child], rank + added)
+            while added:
+                added -= 1
+                touched[added][slots[added]] = 0
+
+    if last == 0:
+        probe(first_range, 0)
+    else:
+        descend(0, first_range, 0)
+    if found is None:
+        return None, None, leaves
+    return best, found, leaves
 
 
 # Set in each forked worker by the pool initializer.  Fork hands the
@@ -412,8 +482,9 @@ def minrank_single(inst: Instance, cap: Optional[int] = None) -> int:
         bits = [1 << (m - 1) for m in sorted(inst.side_info[k - 1])]
         side_bits.append(bits)
     best = K + 1
+    pivots = [0] * K
 
-    def rec(k: int, pivots: Dict[int, int], rank: int) -> None:
+    def rec(k: int, rank: int) -> None:
         nonlocal best
         if rank >= best:
             return
@@ -427,9 +498,18 @@ def minrank_single(inst: Instance, cap: Optional[int] = None) -> int:
             for i, bit in enumerate(bits):
                 if (mask >> i) & 1:
                     row |= bit
-            table = dict(pivots)
-            added = basis_add(table, row)
-            rec(k + 1, table, rank + (1 if added is not None else 0))
+            slot = -1
+            while row:
+                p = row.bit_length() - 1
+                v = pivots[p]
+                if not v:
+                    pivots[p] = row
+                    slot = p
+                    break
+                row ^= v
+            rec(k + 1, rank + (slot >= 0))
+            if slot >= 0:
+                pivots[slot] = 0
 
-    rec(1, {}, 0)
+    rec(1, 0)
     return best

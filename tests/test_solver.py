@@ -15,7 +15,11 @@ from msic.instance import (
     serialize_instance,
 )
 from msic.solver import (
+    PARALLEL_MIN_EXPONENT,
     SearchCapError,
+    _build_tables,
+    _greedy_dive,
+    _search,
     complexity_exponents,
     hyperminrank,
     minrank_single,
@@ -136,6 +140,35 @@ def test_parallel_matches_sequential(ex2):
         assert par.hyperminrank == seq.hyperminrank
         assert par.witness_choice == seq.witness_choice
         assert par.witness.blocks == seq.witness.blocks
+
+
+def test_forked_solve_matches_sequential_and_its_chunks():
+    # every sender stores both messages and each receiver knows the other:
+    # E2 = 18 reaches the fork threshold, yet the whole solve is tiny
+    both = frozenset({1, 2})
+    inst = Instance(
+        K=2,
+        N=5,
+        sender_stores=(both,) * 5,
+        side_info=(frozenset({2}), frozenset({1})),
+    )
+    assert complexity_exponents(inst).e2 == 18 >= PARALLEL_MIN_EXPONENT
+    seq = hyperminrank(inst, parallelism=1)
+    par = hyperminrank(inst, parallelism=2)
+    assert par.hyperminrank == seq.hyperminrank == 1
+    assert par.witness == seq.witness
+    assert par.witness_choice == seq.witness_choice
+    # the two workers split receiver 1's options in halves, each starting
+    # from the greedy incumbent
+    tables = _build_tables(inst)
+    incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
+    half = len(tables[0].rows) // 2
+    chunk_leaves = [
+        _search(tables, inst.N, True, chunk, incumbent)[2]
+        for chunk in (range(half), range(half, 2 * half))
+    ]
+    assert par.candidates_examined == sum(chunk_leaves)
+    assert par.candidates_examined != seq.candidates_examined
 
 
 def test_search_cap_via_parameter(ex2):
