@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
 parameters, 2 unreadable or malformed input, 3 invalid code, 4 resource
 cap (search exponent or oracle guard).  Reports are deterministic for
-fixed inputs and seeds except for the "timings" object.
+fixed inputs, flags and seeds, on any machine, except for the "timings"
+object.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _emit(
             print(line)
 
 
-def _solve_value(inst: Instance, parallelism: Optional[int]):
+def _solve_value(inst: Instance):
     try:
-        return hyperminrank(inst, parallelism=parallelism)
+        return hyperminrank(inst)
     except InstanceValidationError as exc:
         raise CLIError(f"infeasible instance: {exc}", EXIT_INFEASIBLE) from None
     except SearchCapError as exc:
@@ -144,7 +145,7 @@ def _solve_value(inst: Instance, parallelism: Optional[int]):
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     started = time.perf_counter()
-    solved = _solve_value(inst, args.parallel)
+    solved = _solve_value(inst)
     code = code_from_fitting(solved.witness, inst)
     total = time.perf_counter() - started
     if args.emit_code:
@@ -198,7 +199,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         f"{len(cover.cliques)} cliques)",
     ]
     if args.with_exact_solve:
-        solved = _solve_value(inst, None)
+        solved = _solve_value(inst)
         timings["solve_seconds"] = solved.elapsed
         sandwich = lower <= solved.hyperminrank <= upper
         results["hyperminrank"] = solved.hyperminrank
@@ -243,6 +244,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise CLIError(
             f"--max-length {max_length} exceeds K={inst.K}", EXIT_PARSE
         )
+    if max_length < 0:
+        raise CLIError(f"--max-length {max_length} is negative", EXIT_PARSE)
     guarded = (
         inst.K > ORACLE_GUARD_K
         or stats.total_load > ORACLE_GUARD_LOAD
@@ -259,7 +262,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     oracle = optimal_linear_code_bruteforce(inst, max_length=max_length)
     oracle_seconds = time.perf_counter() - started
-    solved = _solve_value(inst, None)
+    solved = _solve_value(inst)
     agreement = (
         None if not oracle.found else oracle.optimal_length == solved.hyperminrank
     )
@@ -356,16 +359,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---- argument parsing ----
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true",
                     help="print the JSON report instead of plain text")
@@ -386,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--emit-code", metavar="PATH",
                     help="write the derived code to PATH")
-    sp.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
-                    help="worker processes (default: all cores; 1 = sequential)")
     _add_output_flags(sp)
     sp.set_defaults(handler=cmd_solve)
 

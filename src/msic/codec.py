@@ -108,7 +108,7 @@ def load_code(text: str, inst: Instance) -> LinearCode:
             if (
                 not isinstance(vec, list)
                 or len(vec) != inst.K
-                or any(b not in (0, 1) for b in vec)
+                or any(type(b) is not int or b not in (0, 1) for b in vec)
             ):
                 raise ValueError(f"sender {n} holds a malformed vector {vec!r}")
             vectors.append(sum(b << i for i, b in enumerate(vec)))

@@ -26,11 +26,9 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 from typing import List, Optional, Sequence, Tuple
 
-# Not called here: the search inlines elimination on list-indexed pivots.
-# bench/pin.py still rebinds `solver.basis_add` to count work.
+# Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
 from .hypergraph import CompositeAdjacency, SubChoice, fits
 from .instance import DerivedStats, Instance, check_valid, derive_stats
@@ -49,6 +47,7 @@ __all__ = [
 
 DEFAULT_SEARCH_CAP = 34
 SEARCH_CAP_ENV = "MSIC_SEARCH_CAP"
+# Not used here; only bench/pin.py reads it.
 PARALLEL_MIN_EXPONENT = 16
 
 
@@ -354,21 +353,6 @@ def _search(
     return best, found, leaves
 
 
-# Set in each forked worker by the pool initializer.  Fork hands the
-# initializer's arguments over without pickling, so workers search the
-# parent's tables instead of rebuilding them.
-_worker_tables: Sequence[_ReceiverTable] = ()
-
-
-def _adopt_tables(tables: Sequence[_ReceiverTable]) -> None:
-    global _worker_tables
-    _worker_tables = tables
-
-
-def _solve_chunk(N: int, start: int, end: int, prune: bool, incumbent: int):
-    return _search(_worker_tables, N, prune, range(start, end), incumbent)
-
-
 def _effective_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
@@ -383,18 +367,14 @@ def _effective_cap(cap: Optional[int]) -> int:
 
 def hyperminrank(
     inst: Instance,
-    parallelism: Optional[int] = 1,
     prune: bool = True,
     cap: Optional[int] = None,
 ) -> SolveReport:
     """Exact minimum of the summed block ranks, with witness.
 
-    parallelism > 1 splits receiver 1's options into contiguous chunks
-    handled by forked worker processes that search the parent's option
-    tables; each worker reduces its chunk to a (value, option indices)
-    pair and the final merge takes the minimum, so the result does not
-    depend on scheduling.  Chunking is only engaged when the search is
-    large enough for process startup to pay off.
+    One sequential depth-first search over the option tables, seeded
+    by a greedy descent, so every field but `elapsed` depends only on
+    the instance and `prune`.
 
     Raises InstanceValidationError for infeasible instances,
     SearchCapError when the advertised exponent exceeds the cap
@@ -409,34 +389,14 @@ def hyperminrank(
             f"raise {SEARCH_CAP_ENV} or pass a larger cap to proceed"
         )
     started = time.perf_counter()
-    if parallelism is None:
-        parallelism = os.cpu_count() or 1
     tables = _build_tables(inst)
     if prune:
         incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
     else:
         incumbent = inst.K + 1
-    first_count = len(tables[0].rows)
-    workers = min(parallelism, first_count)
-    # Table k holds exactly 2**E2_k options, so E2 is the log of the
-    # unpruned search size.
-    if workers <= 1 or profile.e2 < PARALLEL_MIN_EXPONENT:
-        value, combo, leaves = _search(
-            tables, inst.N, prune, range(first_count), incumbent
-        )
-    else:
-        bounds = [round(i * first_count / workers) for i in range(workers + 1)]
-        jobs = [
-            (inst.N, bounds[i], bounds[i + 1], prune, incumbent)
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        with get_context("fork").Pool(
-            processes=len(jobs), initializer=_adopt_tables, initargs=(tables,)
-        ) as pool:
-            results = pool.starmap(_solve_chunk, jobs)
-        leaves = sum(r[2] for r in results)
-        value, combo = min((r[0], r[1]) for r in results if r[0] is not None)
+    value, combo, leaves = _search(
+        tables, inst.N, prune, range(len(tables[0].rows)), incumbent
+    )
     assert combo is not None
     witness = CompositeAdjacency(
         K=inst.K,

@@ -40,7 +40,7 @@ from msic.solver import complexity_exponents, hyperminrank, minrank_single
                              "witness code verifies in both modes")
 def test_criterion_1_ex1_exact(ex1):
     started = time.perf_counter()
-    report = hyperminrank(ex1, parallelism=1)
+    report = hyperminrank(ex1)
     elapsed = time.perf_counter() - started
     assert report.hyperminrank == 2
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -80,7 +80,7 @@ def test_criterion_3_converse(ex1):
 def test_criterion_4_oracle_equivalence():
     started = time.perf_counter()
     for inst in random_suite(50):
-        solver_value = hyperminrank(inst, parallelism=1).hyperminrank
+        solver_value = hyperminrank(inst).hyperminrank
         oracle_value = optimal_linear_code_bruteforce(inst).optimal_length
         assert solver_value == oracle_value, serialize_instance(inst)
     elapsed = time.perf_counter() - started
@@ -93,7 +93,7 @@ def test_criterion_5_ex2_bounds(ex2):
     started = time.perf_counter()
     upper, cover = clique_cover_upper(ex2, mode="exact")
     lower, witness = complement_clique_lower(ex2)
-    value = hyperminrank(ex2, parallelism=1).hyperminrank
+    value = hyperminrank(ex2).hyperminrank
     elapsed = time.perf_counter() - started
     assert upper == 3 and cover.exact
     assert {(tuple(sorted(c.receivers)), c.sender) for c in cover.cliques} == {
@@ -202,7 +202,7 @@ def test_criterion_9_single_sender_reduction():
             side_info=tuple(side),
         )
         classical = minrank_single(inst)
-        assert hyperminrank(inst, parallelism=1).hyperminrank == classical
+        assert hyperminrank(inst).hyperminrank == classical
         upper, _ = clique_cover_upper(inst, mode="exact")
         assert classical <= upper
 
@@ -215,7 +215,7 @@ def test_criterion_10_property_suite():
         text = serialize_instance(inst)
         assert parse_instance(text) == inst
 
-        report = hyperminrank(inst, parallelism=1)
+        report = hyperminrank(inst)
         code = code_from_fitting(report.witness, inst)
         assert verify_code(code, inst, mode="algebraic")
         assert verify_code(code, inst, mode="simulate")
@@ -253,6 +253,6 @@ def test_criterion_10_property_suite():
                 side_info=tuple(richer_side),
             )
             assert (
-                hyperminrank(richer, parallelism=1).hyperminrank
+                hyperminrank(richer).hyperminrank
                 <= report.hyperminrank
             )

@@ -89,7 +89,7 @@ def test_sandwich_on_suite():
     for inst in random_suite(30):
         lower, witness = complement_clique_lower(inst)
         upper, _ = clique_cover_upper(inst, mode="exact")
-        value = hyperminrank(inst, parallelism=1).hyperminrank
+        value = hyperminrank(inst).hyperminrank
         assert lower <= value <= upper
         assert witness is not None and lower >= 1
 

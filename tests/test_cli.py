@@ -8,6 +8,7 @@ import pytest
 
 from conftest import corpus_text
 from msic.cli import main
+from msic.instance import Instance, serialize_instance
 
 SCHEMA = json.loads(
     (resources.files("msic") / "schemas" / "report.schema.json").read_text()
@@ -36,15 +37,15 @@ def run_json(capsys, *argv):
 
 
 def test_solve_plain_output(corpus_dir, capsys):
-    rc, out, _ = run(capsys, "solve", str(corpus_dir / "ex1.json"), "--parallel", "1")
+    rc, out, _ = run(capsys, "solve", str(corpus_dir / "ex1.json"))
     assert rc == 0
     assert "hyperminrank = 2" in out
 
 
 def test_solve_json_schema_and_determinism(corpus_dir, capsys):
     path = str(corpus_dir / "ex1.json")
-    rc1, rep1, _ = run_json(capsys, "solve", path, "--parallel", "1")
-    rc2, rep2, _ = run_json(capsys, "solve", path, "--parallel", "1")
+    rc1, rep1, _ = run_json(capsys, "solve", path)
+    rc2, rep2, _ = run_json(capsys, "solve", path)
     assert rc1 == rc2 == 0
     rep1.pop("timings")
     rep2.pop("timings")
@@ -55,7 +56,7 @@ def test_solve_json_schema_and_determinism(corpus_dir, capsys):
 def test_solve_writes_report_file(corpus_dir, capsys):
     out_path = corpus_dir / "report.json"
     rc, _, _ = run(capsys, "solve", str(corpus_dir / "ex1.json"),
-                   "--parallel", "1", "--out", str(out_path))
+                   "--out", str(out_path))
     assert rc == 0
     report = json.loads(out_path.read_text())
     jsonschema.validate(report, SCHEMA)
@@ -64,12 +65,36 @@ def test_solve_writes_report_file(corpus_dir, capsys):
 def test_solve_emit_code_then_verify(corpus_dir, capsys):
     code_path = corpus_dir / "derived.code.json"
     rc, _, _ = run(capsys, "solve", str(corpus_dir / "ex1.json"),
-                   "--parallel", "1", "--emit-code", str(code_path))
+                   "--emit-code", str(code_path))
     assert rc == 0
     rc, out, _ = run(capsys, "verify", str(corpus_dir / "ex1.json"),
                      "--code", str(code_path))
     assert rc == 0
     assert "valid" in out
+
+
+def test_solve_report_does_not_depend_on_core_count(capsys, monkeypatch, tmp_path):
+    # every sender stores both messages and each receiver knows the other:
+    # E2 = 18, a search that once forked one worker per core
+    both = frozenset({1, 2})
+    inst = Instance(
+        K=2,
+        N=5,
+        sender_stores=(both,) * 5,
+        side_info=(frozenset({2}), frozenset({1})),
+    )
+    path = tmp_path / "replicated.json"
+    path.write_text(serialize_instance(inst))
+    reports = []
+    for cores in (1, 4):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        rc, rep, _ = run_json(capsys, "solve", str(path))
+        assert rc == 0
+        rep.pop("timings")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["results"]["hyperminrank"] == 1
+    assert reports[0]["results"]["candidates_examined"] == 1024
 
 
 def test_solve_missing_file_exits_2(capsys, tmp_path):
@@ -118,7 +143,7 @@ def test_malformed_search_cap_exits_2(corpus_dir, capsys, monkeypatch, argv):
 
 
 def test_solver_value_error_is_not_an_input_error(corpus_dir, monkeypatch):
-    def broken(inst, parallelism=1):
+    def broken(inst):
         raise ValueError("internal fault")
 
     monkeypatch.setattr("msic.cli.hyperminrank", broken)
@@ -126,19 +151,23 @@ def test_solver_value_error_is_not_an_input_error(corpus_dir, monkeypatch):
         main(["solve", str(corpus_dir / "ex1.json")])
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_solve_rejects_parallel_below_one(corpus_dir, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(corpus_dir / "ex1.json"), "--parallel", value])
-    assert exc.value.code == 2
-    assert "--parallel" in capsys.readouterr().err
-
-
 def test_verify_corpus_codes(corpus_dir, capsys):
     for name in ("ex1_code_a.json", "ex1_code_b.json"):
         rc, _, _ = run(capsys, "verify", str(corpus_dir / "ex1.json"),
                        "--code", str(corpus_dir / name))
         assert rc == 0
+
+
+@pytest.mark.parametrize("entry", ["1.0", "true"])
+def test_verify_non_integer_entry_exits_2(corpus_dir, capsys, entry):
+    code = corpus_dir / "odd.code.json"
+    code.write_text('{"code": [[[%s,1,0]],[],[]]}' % entry)
+    rc, out, err = run(capsys, "verify", str(corpus_dir / "ex1.json"),
+                       "--code", str(code))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: parse error in ")
+    assert "malformed vector" in err and err.count("\n") == 1
 
 
 def test_verify_invalid_code_exits_3(corpus_dir, capsys):
@@ -210,6 +239,14 @@ def test_oracle_not_found(corpus_dir, capsys):
     assert rep["results"]["agreement"] is None
 
 
+def test_oracle_negative_max_length_exits_2(corpus_dir, capsys):
+    rc, out, err = run(capsys, "oracle", str(corpus_dir / "ex1.json"),
+                       "--max-length=-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --max-length -1 is negative\n"
+
+
 def test_complexity_report(corpus_dir, capsys):
     rc, rep, _ = run_json(capsys, "complexity", str(corpus_dir / "ex3.json"))
     assert rc == 0
@@ -224,7 +261,7 @@ def test_gen_roundtrips_through_solve(capsys, tmp_path):
     rc, _, _ = run(capsys, "gen", "--k", "4", "--n", "2", "--delta", "0.4",
                    "--r0", "2", "--seed", "11", "--out", str(target))
     assert rc == 0
-    rc, out, _ = run(capsys, "solve", str(target), "--parallel", "1")
+    rc, out, _ = run(capsys, "solve", str(target))
     assert rc == 0
     assert "hyperminrank" in out
 

@@ -44,6 +44,9 @@ def test_load_rejects_malformed(ex1):
         load_code('{"code": [[[1,1]],[],[]]}', ex1)  # wrong vector width
     with pytest.raises(ValueError):
         load_code('{"code": [[[1,2,0]],[],[]]}', ex1)  # non-bit entry
+    for entry in ("1.0", "true"):  # an integer 1 in any other JSON type
+        with pytest.raises(ValueError, match="malformed vector"):
+            load_code('{"code": [[[%s,1,0]],[],[]]}' % entry, ex1)
 
 
 def test_load_rejects_unsupported_message(ex1):
@@ -131,7 +134,7 @@ def test_modes_agree_on_random_codes():
 
 def test_round_trip_through_solver_witness():
     for inst in random_suite(20):
-        report = hyperminrank(inst, parallelism=1)
+        report = hyperminrank(inst)
         code = code_from_fitting(report.witness, inst)
         assert code_length(code) == report.hyperminrank
         assert verify_code(code, inst, mode="simulate")

@@ -15,11 +15,7 @@ from msic.instance import (
     serialize_instance,
 )
 from msic.solver import (
-    PARALLEL_MIN_EXPONENT,
     SearchCapError,
-    _build_tables,
-    _greedy_dive,
-    _search,
     complexity_exponents,
     hyperminrank,
     minrank_single,
@@ -28,14 +24,14 @@ from msic.solver import (
 
 
 def test_corpus_values(ex1, ex2, ex3):
-    assert hyperminrank(ex1, parallelism=1).hyperminrank == 2
-    assert hyperminrank(ex2, parallelism=1).hyperminrank == 3
-    assert hyperminrank(ex3, parallelism=1).hyperminrank == 2
+    assert hyperminrank(ex1).hyperminrank == 2
+    assert hyperminrank(ex2).hyperminrank == 3
+    assert hyperminrank(ex3).hyperminrank == 2
 
 
 def test_witness_fits_and_verifies(ex1, ex2, ex3):
     for inst in (ex1, ex2, ex3):
-        report = hyperminrank(inst, parallelism=1)
+        report = hyperminrank(inst)
         assert report.witness.sum_rank() == report.hyperminrank
         assert fits(report.witness, inst) is not None
         code = code_from_fitting(report.witness, inst)
@@ -45,10 +41,10 @@ def test_witness_fits_and_verifies(ex1, ex2, ex3):
 def test_no_pruning_visits_full_product(ex1, ex3):
     # the enumerated space is the product of per-receiver option counts,
     # which is 2**E2
-    r1 = hyperminrank(ex1, parallelism=1, prune=False)
+    r1 = hyperminrank(ex1, prune=False)
     assert r1.candidates_examined == 1 << complexity_exponents(ex1).e2
     assert r1.hyperminrank == 2
-    r3 = hyperminrank(ex3, parallelism=1, prune=False)
+    r3 = hyperminrank(ex3, prune=False)
     assert r3.candidates_examined == 64
     assert r3.hyperminrank == 2
 
@@ -64,7 +60,7 @@ def test_no_pruning_matches_advertised_size_without_replicated_side_info():
     )
     profile = complexity_exponents(inst)
     assert profile.e1 == profile.e2
-    report = hyperminrank(inst, parallelism=1, prune=False)
+    report = hyperminrank(inst, prune=False)
     space, e1 = search_space_size(inst)
     assert report.candidates_examined == space == 1 << e1
 
@@ -75,8 +71,8 @@ def test_pruned_and_unpruned_agree():
         if complexity_exponents(inst).e2 > 14:
             continue  # the unpruned walk is the full 2**E2 product
         checked += 1
-        fast = hyperminrank(inst, parallelism=1)
-        slow = hyperminrank(inst, parallelism=1, prune=False)
+        fast = hyperminrank(inst)
+        slow = hyperminrank(inst, prune=False)
         assert fast.hyperminrank == slow.hyperminrank
         assert fast.witness_choice == slow.witness_choice
         assert fast.candidates_examined <= slow.candidates_examined
@@ -129,46 +125,8 @@ def test_witness_is_canonically_first(ex1, ex3):
             key=lambda c: (sub_adjacency(c, inst).sum_rank(), _mask_key(c, inst)),
         )
         for prune in (True, False):
-            report = hyperminrank(inst, parallelism=1, prune=prune)
+            report = hyperminrank(inst, prune=prune)
             assert report.witness_choice == expected, serialize_instance(inst)
-
-
-def test_parallel_matches_sequential(ex2):
-    seq = hyperminrank(ex2, parallelism=1)
-    for workers in (2, 4):
-        par = hyperminrank(ex2, parallelism=workers)
-        assert par.hyperminrank == seq.hyperminrank
-        assert par.witness_choice == seq.witness_choice
-        assert par.witness.blocks == seq.witness.blocks
-
-
-def test_forked_solve_matches_sequential_and_its_chunks():
-    # every sender stores both messages and each receiver knows the other:
-    # E2 = 18 reaches the fork threshold, yet the whole solve is tiny
-    both = frozenset({1, 2})
-    inst = Instance(
-        K=2,
-        N=5,
-        sender_stores=(both,) * 5,
-        side_info=(frozenset({2}), frozenset({1})),
-    )
-    assert complexity_exponents(inst).e2 == 18 >= PARALLEL_MIN_EXPONENT
-    seq = hyperminrank(inst, parallelism=1)
-    par = hyperminrank(inst, parallelism=2)
-    assert par.hyperminrank == seq.hyperminrank == 1
-    assert par.witness == seq.witness
-    assert par.witness_choice == seq.witness_choice
-    # the two workers split receiver 1's options in halves, each starting
-    # from the greedy incumbent
-    tables = _build_tables(inst)
-    incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
-    half = len(tables[0].rows) // 2
-    chunk_leaves = [
-        _search(tables, inst.N, True, chunk, incumbent)[2]
-        for chunk in (range(half), range(half, 2 * half))
-    ]
-    assert par.candidates_examined == sum(chunk_leaves)
-    assert par.candidates_examined != seq.candidates_examined
 
 
 def test_search_cap_via_parameter(ex2):
@@ -310,7 +268,7 @@ def test_minrank_single_matches_hyperminrank():
             sender_stores=(frozenset(range(1, K + 1)),),
             side_info=tuple(side),
         )
-        assert minrank_single(inst) == hyperminrank(inst, parallelism=1).hyperminrank
+        assert minrank_single(inst) == hyperminrank(inst).hyperminrank
 
 
 def test_minrank_single_requires_full_single_store(ex1):
