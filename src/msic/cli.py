@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
-parameters, 2 unreadable or malformed input, 3 invalid code, 4 resource
-cap (search exponent or oracle guard).  Reports are deterministic for
-fixed inputs, flags and seeds, on any machine, except for the "timings"
-object.
+parameters, 2 unreadable or malformed input or an unwritable output
+path, 3 invalid code, 4 resource cap (search exponent or oracle guard).
+Reports are deterministic for fixed inputs, flags and seeds, on any
+machine, except for the "timings" object.
 """
 
 from __future__ import annotations
@@ -76,6 +76,13 @@ def _read_text(path: str) -> str:
         raise CLIError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}", EXIT_PARSE) from None
+
+
 def _load_instance(path: str) -> Instance:
     text = _read_text(path)
     try:
@@ -120,7 +127,7 @@ def _emit(
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None) if write_out else None
     if out:
-        Path(out).write_text(payload)
+        _write_text(out, payload)
     if getattr(args, "json", False):
         sys.stdout.write(payload)
     else:
@@ -149,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     code = code_from_fitting(solved.witness, inst)
     total = time.perf_counter() - started
     if args.emit_code:
-        Path(args.emit_code).write_text(serialize_code(code) + "\n")
+        _write_text(args.emit_code, serialize_code(code) + "\n")
     results = {
         "hyperminrank": solved.hyperminrank,
         "candidates_examined": solved.candidates_examined,
@@ -339,7 +346,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     timings = {"gen_seconds": time.perf_counter() - started}
     payload = serialize_instance(inst) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        _write_text(args.out, payload)
     results = {
         "K": inst.K,
         "N": inst.N,

@@ -8,6 +8,24 @@ by bit position; rows are inserted in place and undone by zeroing the
 slot they filled, and the last receiver's options are only probed
 (reduced against the bases, never inserted).
 
+With pruning, the search also skips repeated states.  The best
+completion below a node depends only on its level and on each sender's
+row space, not on the options that built them.  So before entering an
+inner level the search keys the state by every sender's basis in
+reduced row echelon form, and skips the subtree if that level was
+already entered with the same key.  The incumbent only falls and only
+strict improvements are accepted in canonical order, so a repeated
+state cannot improve on what its first entry left: the optimum and the
+canonically first witness stay the same, and only the leaf count
+falls.  Entries into the probed last level are not keyed.
+
+One search stores at most VISITED_STATE_CAP = 65,536 keys over all
+levels.  Past the cap keys are still looked up but no longer added, so
+the search stays exact and deterministic.  A key is an int of at most
+b = 1 + K(K + 1) + N bits and costs about 56 + b / 7.5 bytes with its
+set slot (CPython 3.11), so the sets take at most 4.5 MB at K = 10,
+N = 4 (b = 115) and 13.8 MB at K = N = 34 (b = 1225).
+
 The canonical order on selections lives here and nowhere else: in the
 option tables built by `_ReceiverTable`.  A table lists its options in
 ascending order of their mask keys (demand mask, cached mask, then one
@@ -49,6 +67,8 @@ DEFAULT_SEARCH_CAP = 34
 SEARCH_CAP_ENV = "MSIC_SEARCH_CAP"
 # Not used here; only bench/pin.py reads it.
 PARALLEL_MIN_EXPONENT = 16
+# Visited-state keys one search stores, over all levels (see above).
+VISITED_STATE_CAP = 1 << 16
 
 
 class SearchCapError(RuntimeError):
@@ -268,6 +288,13 @@ def _search(
     alone reaches it.  The last level only probes: rows are reduced but
     never inserted, and an option's reduction stops once it cannot beat
     the incumbent.  Every last-level option still counts as a leaf.
+
+    With pruning, an inner child is entered only if its state key is
+    new at its level (see the module docstring).  The key is an int: a
+    leading 1 bit, then for each sender in order its reduced row echelon
+    rows in pivot order, each as a 1 flag bit and K row bits, and a
+    closing 0 bit.  seen[c] holds the keys of level c, at most
+    VISITED_STATE_CAP of them over all levels.
     """
     K = len(tables)
     last = K - 1
@@ -282,6 +309,11 @@ def _search(
     found: Optional[Tuple[int, ...]] = None
     leaves = 0
     unlimited = N + 1
+    bits = [1 << p for p in range(K)]
+    flag = 1 << K
+    width = K + 1
+    seen = [set() for _ in range(K)]
+    stored = 0
 
     def probe(indices: range, rank: int) -> None:
         nonlocal best, found, leaves
@@ -307,10 +339,12 @@ def _search(
                 room = delta
 
     def descend(level: int, indices: range, rank: int) -> None:
+        nonlocal stored
         rows_of = all_rows[level]
         touched = undo_pivots[level]
         slots = undo_slots[level]
         child = level + 1
+        visited = seen[child]
         for idx in indices:
             if prune:
                 room = best - rank
@@ -338,8 +372,25 @@ def _search(
                 combo[level] = idx
                 if child == last:
                     probe(full[last], rank + added)
-                else:
+                elif not prune:
                     descend(child, full[child], rank + added)
+                else:
+                    key = 1
+                    for pv in pivots:
+                        reduced = []
+                        for bit, row in zip(bits, pv):
+                            if row:
+                                for b, r in reduced:
+                                    if row & b:
+                                        row ^= r
+                                reduced.append((bit, row))
+                                key = key << width | flag | row
+                        key <<= 1
+                    if key not in visited:
+                        if stored < VISITED_STATE_CAP:
+                            visited.add(key)
+                            stored += 1
+                        descend(child, full[child], rank + added)
             while added:
                 added -= 1
                 touched[added][slots[added]] = 0

@@ -6,9 +6,15 @@ from importlib import resources
 from typing import Iterator, List, Tuple
 
 import pytest
+from hypothesis import settings
 
 from msic.hypergraph import SubChoice
 from msic.instance import Instance, derive_stats, generate_random, parse_instance
+
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run
+# and machine, so a failure seen in CI reproduces locally.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def corpus_text(name: str) -> str:

@@ -103,6 +103,21 @@ def test_solve_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "ex1.json", "--emit-code"),
+    ("solve", "ex1.json", "--out"),
+    ("gen", "--k", "3", "--n", "2", "--out"),
+])
+def test_unwritable_output_path_exits_2(corpus_dir, capsys, argv):
+    args = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    target = str(corpus_dir / "missing" / "out.json")
+    rc, out, err = run(capsys, *args, target)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
+
+
 def test_solve_malformed_instance_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"K": 2}')

@@ -1,21 +1,25 @@
 """Differential referee for the solver's GF(2) search kernel.
 
 `_reference_greedy_dive` and `_reference_search` are the dict-pivot
-kernel the list-indexed one replaced, kept verbatim apart from their
-names: every row goes through `gf2.basis_add`, the last level inserts
-and undoes like the others.  The current kernel must return the same
-greedy seed and the same (value, option indices, leaves) triple on
-every instance, with and without pruning, over the whole first level
-and over each chunk the fork path hands to a worker.
+kernel the list-indexed one replaced: every row goes through
+`gf2.basis_add`, the last level inserts and undoes like the others.
+`_reference_search` adds the kernel's visited-state rule with its own
+state key, the set of every vector in each sender's span, and stores
+at most `cap` keys; with `cap` 0 it is the old kernel verbatim.  The
+current kernel must return the same greedy seed and the same
+(value, option indices, leaves) triple on every instance, with and
+without pruning, over the whole first level and over contiguous
+first-level chunks, and under a patched key cap.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
 from conftest import corpus_instance, random_suite
+from msic import solver
 from msic.gf2 import basis_add
 from msic.instance import generate_random, serialize_instance
 from msic.solver import _build_tables, _greedy_dive, _search, complexity_exponents
@@ -48,13 +52,37 @@ def _reference_greedy_dive(tables, N: int) -> int:
     return total
 
 
+def _span(rows) -> FrozenSet[int]:
+    span = {0}
+    for row in rows:
+        span |= {vec ^ row for vec in span}
+    return frozenset(span)
+
+
 def _reference_search(
-    tables: Sequence, N: int, prune: bool, first_range: range, incumbent: int
+    tables: Sequence,
+    N: int,
+    prune: bool,
+    first_range: range,
+    incumbent: int,
+    cap: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
     K = len(tables)
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     combo = [0] * K
-    state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0}
+    state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0, "stored": 0}
+    seen: List[Set[Tuple[FrozenSet[int], ...]]] = [set() for _ in range(K)]
+
+    def first_entry(level: int) -> bool:
+        if level == K - 1:
+            return True
+        key = tuple(_span(pivots[n].values()) for n in range(N))
+        if key in seen[level]:
+            return False
+        if state["stored"] < cap:
+            seen[level].add(key)
+            state["stored"] += 1
+        return True
 
     def descend(level: int, indices) -> None:
         table = tables[level]
@@ -77,7 +105,7 @@ def _reference_search(
                 if state["rank"] < state["best"]:
                     state["best"] = state["rank"]
                     state["combo"] = tuple(combo)
-            elif not prune or state["rank"] < state["best"]:
+            elif not prune or (state["rank"] < state["best"] and first_entry(level + 1)):
                 descend(level + 1, range(len(tables[level + 1].rows)))
             state["rank"] -= delta
             for n, pivot in added:
@@ -125,5 +153,21 @@ def test_kernel_matches_reference(name, inst):
         for workers in (1, 2, 3):
             for chunk in _chunks(first_count, workers):
                 got = _search(tables, inst.N, prune, chunk, incumbent)
-                want = _reference_search(tables, inst.N, prune, chunk, incumbent)
+                want = _reference_search(
+                    tables, inst.N, prune, chunk, incumbent, solver.VISITED_STATE_CAP
+                )
                 assert got == want, (serialize_instance(inst), prune, chunk)
+
+
+@pytest.mark.parametrize("name,inst", INSTANCES, ids=[name for name, _ in INSTANCES])
+def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
+    # cap 0 stores no key, so no subtree is skipped: the kernel before
+    # the visited-state rule; cap 3 fills the sets and then only looks up
+    tables = _build_tables(inst)
+    incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
+    whole = range(len(tables[0].rows))
+    for cap in (0, 3):
+        monkeypatch.setattr(solver, "VISITED_STATE_CAP", cap)
+        got = _search(tables, inst.N, True, whole, incumbent)
+        want = _reference_search(tables, inst.N, True, whole, incumbent, cap)
+        assert got == want, (serialize_instance(inst), cap)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from conftest import all_choices, random_suite
 from msic.codec import code_from_fitting, verify_code
@@ -14,6 +16,7 @@ from msic.instance import (
     derive_stats,
     serialize_instance,
 )
+from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import (
     SearchCapError,
     complexity_exponents,
@@ -77,6 +80,47 @@ def test_pruned_and_unpruned_agree():
         assert fast.witness_choice == slow.witness_choice
         assert fast.candidates_examined <= slow.candidates_examined
     assert checked >= 10
+
+
+@st.composite
+def instances(draw, max_k: int, max_n: int) -> Instance:
+    """Any valid instance with K <= max_k and N <= max_n."""
+    K = draw(st.integers(min_value=1, max_value=max_k))
+    N = draw(st.integers(min_value=1, max_value=max_n))
+    holders = [draw(st.integers(min_value=1, max_value=(1 << N) - 1)) for _ in range(K)]
+    known = [draw(st.integers(min_value=0, max_value=(1 << K) - 1)) & ~(1 << k) for k in range(K)]
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=tuple(
+            frozenset(m + 1 for m in range(K) if holders[m] >> n & 1) for n in range(N)
+        ),
+        side_info=tuple(
+            frozenset(m + 1 for m in range(K) if known[k] >> m & 1) for k in range(K)
+        ),
+    )
+
+
+@given(instances(max_k=5, max_n=3))
+@settings(max_examples=80, deadline=None)
+def test_pruned_search_matches_the_oracle(inst):
+    assume(derive_stats(inst).total_load <= 8)  # the oracle's cost
+    expected = optimal_linear_code_bruteforce(inst).optimal_length
+    assert hyperminrank(inst).hyperminrank == expected
+
+
+@given(instances(max_k=6, max_n=3))
+@settings(max_examples=80, deadline=None)
+def test_pruned_search_matches_the_unpruned_search(inst):
+    e2 = complexity_exponents(inst).e2
+    assume(e2 <= 14)  # the unpruned walk is the full 2**E2 product
+    fast = hyperminrank(inst)
+    slow = hyperminrank(inst, prune=False)
+    assert slow.candidates_examined == 1 << e2
+    assert fast.hyperminrank == slow.hyperminrank
+    assert fast.witness == slow.witness
+    assert fast.witness_choice == slow.witness_choice
+    assert fast.candidates_examined <= slow.candidates_examined
 
 
 def _mask_key(choice, inst):
