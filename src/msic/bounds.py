@@ -8,7 +8,12 @@ we build the induced one-row-per-clique code and verify it.
 Lower bound: in the complement hypergraph, a vertex set that forms a
 full directed clique with self-loops inside some sender's projection,
 and that meets the per-sender hypothesis everywhere else, forces that
-many independent rows in any valid selection.
+many independent rows in any valid selection.  Such a set is exactly a
+clique of one K-vertex compatibility graph: two vertices are compatible
+when every sender either has a self-loop on both, with both directed
+pairs between them, or has a self-loop on neither.  A branch and bound
+over bit masks (Carraghan & Pardalos, 1990) finds its largest clique,
+the first in ascending vertex order.
 """
 
 from __future__ import annotations
@@ -183,6 +188,38 @@ def clique_cover_upper(
     return len(chosen), cover
 
 
+def _first_maximum_clique(adj: List[int], vertices: int) -> List[int]:
+    """Largest clique among the set bits of `vertices`, first in
+    ascending order of its sorted bit positions.
+
+    adj[v] is the neighbour mask of bit v.  Branches run from the
+    lowest candidate up and a clique replaces the best only when it is
+    strictly larger, so the first maximum clique found is the first in
+    combinations order.
+    """
+    best: List[int] = []
+    current: List[int] = []
+
+    def expand(candidates: int) -> None:
+        nonlocal best
+        while candidates:
+            if len(current) + candidates.bit_count() <= len(best):
+                return
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            current.append(v)
+            below = candidates & adj[v]
+            if below:
+                expand(below)
+            elif len(current) > len(best):
+                best = current.copy()
+            current.pop()
+
+    expand(vertices)
+    return best
+
+
 def complement_clique_lower(
     inst: Instance,
 ) -> Tuple[int, Optional[ComplementCliqueWitness]]:
@@ -190,35 +227,38 @@ def complement_clique_lower(
 
     The returned value never exceeds the hyper-minrank.  A feasible
     instance always admits a singleton witness, so 0 only appears for
-    degenerate inputs rejected elsewhere.
+    degenerate inputs rejected elsewhere.  Among the largest cliques the
+    witness is the first in ascending vertex order; its host is the
+    first sender whose projection contains it.
     """
     check_valid(inst)
-    comp = complement(build(inst))
-    pairs = sender_projection_pairs(comp)
-    for size in range(inst.K, 0, -1):
-        for vertices in combinations(range(1, inst.K + 1), size):
-            edges = frozenset((a, b) for a in vertices for b in vertices)
-            hosts = [
-                n for n in range(1, inst.N + 1) if edges <= pairs[n - 1]
-            ]
-            if not hosts:
-                continue
-            conditions = []
-            for n in range(1, inst.N + 1):
-                p = pairs[n - 1]
-                if edges <= p:
-                    conditions.append(COND_CONTAINS)
-                elif all((k, k) not in p for k in vertices):
-                    conditions.append(COND_NO_LOOPS)
-                else:
-                    break
-            if len(conditions) < inst.N:
-                continue
-            witness = ComplementCliqueWitness(
-                vertices=frozenset(vertices),
-                host_sender=hosts[0],
-                edges=edges,
-                sender_conditions=tuple(conditions),
-            )
-            return size, witness
-    return 0, None
+    pairs = sender_projection_pairs(complement(build(inst)))
+    K = inst.K
+    loops = [[(k, k) in p for k in range(1, K + 1)] for p in pairs]
+    looped = 0
+    for k in range(1, K + 1):
+        if any(at[k - 1] for at in loops):
+            looped |= 1 << (k - 1)
+    adj = [0] * K
+    for a in range(1, K + 1):
+        for b in range(a + 1, K + 1):
+            if all(
+                at[a - 1] == at[b - 1]
+                and (not at[a - 1] or ((a, b) in p and (b, a) in p))
+                for at, p in zip(loops, pairs)
+            ):
+                adj[a - 1] |= 1 << (b - 1)
+                adj[b - 1] |= 1 << (a - 1)
+    clique = [v + 1 for v in _first_maximum_clique(adj, looped)]
+    if not clique:
+        return 0, None
+    first = clique[0] - 1
+    witness = ComplementCliqueWitness(
+        vertices=frozenset(clique),
+        host_sender=next(n for n, at in enumerate(loops, 1) if at[first]),
+        edges=frozenset((a, b) for a in clique for b in clique),
+        sender_conditions=tuple(
+            COND_CONTAINS if at[first] else COND_NO_LOOPS for at in loops
+        ),
+    )
+    return len(clique), witness

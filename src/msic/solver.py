@@ -17,7 +17,9 @@ already entered with the same key.  The incumbent only falls and only
 strict improvements are accepted in canonical order, so a repeated
 state cannot improve on what its first entry left: the optimum and the
 canonically first witness stay the same, and only the leaf count
-falls.  Entries into the probed last level are not keyed.
+falls.  Entries into the probed last level are not keyed, nor entries
+into a level that only one path reaches (every level above it has one
+option), since its key could never repeat.
 
 One search stores at most VISITED_STATE_CAP = 65,536 keys over all
 levels.  Past the cap keys are still looked up but no longer added, so
@@ -294,7 +296,8 @@ def _search(
     leading 1 bit, then for each sender in order its reduced row echelon
     rows in pivot order, each as a 1 flag bit and K row bits, and a
     closing 0 bit.  seen[c] holds the keys of level c, at most
-    VISITED_STATE_CAP of them over all levels.
+    VISITED_STATE_CAP of them over all levels.  Levels above
+    first_keyed have one path into them and are not keyed.
     """
     K = len(tables)
     last = K - 1
@@ -314,6 +317,15 @@ def _search(
     width = K + 1
     seen = [set() for _ in range(K)]
     stored = 0
+    # A level with one path into it is entered at most once, so its key
+    # could never match: keying starts at the first level with more.
+    first_keyed = last
+    paths = len(first_range)
+    for child in range(1, last):
+        if paths > 1:
+            first_keyed = child
+            break
+        paths *= len(all_rows[child])
 
     def probe(indices: range, rank: int) -> None:
         nonlocal best, found, leaves
@@ -372,7 +384,7 @@ def _search(
                 combo[level] = idx
                 if child == last:
                     probe(full[last], rank + added)
-                elif not prune:
+                elif not prune or child < first_keyed:
                     descend(child, full[child], rank + added)
                 else:
                     key = 1

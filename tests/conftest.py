@@ -5,6 +5,7 @@ import random
 from importlib import resources
 from typing import Iterator, List, Tuple
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
@@ -36,6 +37,25 @@ def random_suite(count: int = 50) -> List[Instance]:
         r0 = rng.randint(0, min(2, K - 1))
         out.append(generate_random(K, N, delta=delta, r0=r0, seed=seed))
     return out
+
+
+@st.composite
+def instances(draw, max_k: int, max_n: int) -> Instance:
+    """Any valid instance with K <= max_k and N <= max_n."""
+    K = draw(st.integers(min_value=1, max_value=max_k))
+    N = draw(st.integers(min_value=1, max_value=max_n))
+    holders = [draw(st.integers(min_value=1, max_value=(1 << N) - 1)) for _ in range(K)]
+    known = [draw(st.integers(min_value=0, max_value=(1 << K) - 1)) & ~(1 << k) for k in range(K)]
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=tuple(
+            frozenset(m + 1 for m in range(K) if holders[m] >> n & 1) for n in range(N)
+        ),
+        side_info=tuple(
+            frozenset(m + 1 for m in range(K) if known[k] >> m & 1) for k in range(K)
+        ),
+    )
 
 
 def all_choices(inst: Instance) -> Iterator[SubChoice]:

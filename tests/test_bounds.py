@@ -1,10 +1,16 @@
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
-from conftest import random_suite
+import pytest
+from hypothesis import given, settings
+
+from conftest import instances, random_suite
 from msic.bounds import (
+    COND_CONTAINS,
+    COND_NO_LOOPS,
     CliqueCover,
+    ComplementCliqueWitness,
     ImplementableClique,
     clique_cover_upper,
     complement_clique_lower,
@@ -12,7 +18,8 @@ from msic.bounds import (
     induced_code,
 )
 from msic.codec import verify_code
-from msic.instance import Instance
+from msic.hypergraph import build, complement, sender_projection_pairs
+from msic.instance import Instance, check_valid, generate_embedded, generate_random
 from msic.solver import hyperminrank, minrank_single
 
 
@@ -138,3 +145,73 @@ def test_cover_type_shapes(ex2):
     _, cover = clique_cover_upper(ex2, mode="exact")
     assert isinstance(cover, CliqueCover)
     assert all(isinstance(c, ImplementableClique) for c in cover.cliques)
+
+
+def _scan_lower(inst):
+    """The combinations scan the clique search replaced, as a referee."""
+    check_valid(inst)
+    comp = complement(build(inst))
+    pairs = sender_projection_pairs(comp)
+    for size in range(inst.K, 0, -1):
+        for vertices in combinations(range(1, inst.K + 1), size):
+            edges = frozenset((a, b) for a in vertices for b in vertices)
+            hosts = [
+                n for n in range(1, inst.N + 1) if edges <= pairs[n - 1]
+            ]
+            if not hosts:
+                continue
+            conditions = []
+            for n in range(1, inst.N + 1):
+                p = pairs[n - 1]
+                if edges <= p:
+                    conditions.append(COND_CONTAINS)
+                elif all((k, k) not in p for k in vertices):
+                    conditions.append(COND_NO_LOOPS)
+                else:
+                    break
+            if len(conditions) < inst.N:
+                continue
+            witness = ComplementCliqueWitness(
+                vertices=frozenset(vertices),
+                host_sender=hosts[0],
+                edges=edges,
+                sender_conditions=tuple(conditions),
+            )
+            return size, witness
+    return 0, None
+
+
+def test_lower_matches_the_scan_on_the_suite():
+    for inst in random_suite(50):
+        assert complement_clique_lower(inst) == _scan_lower(inst)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_lower_matches_the_scan_on_embedded_instances(K):
+    for g in range(10):
+        inst = generate_embedded(K, g)
+        assert complement_clique_lower(inst) == _scan_lower(inst)
+
+
+@given(instances(max_k=9, max_n=4))
+@settings(max_examples=200, deadline=None)
+def test_lower_matches_the_scan(inst):
+    assert complement_clique_lower(inst) == _scan_lower(inst)
+
+
+def test_lower_at_large_k():
+    # the scan would try about 2**22 vertex sets here
+    inst = generate_random(22, 4, delta=0.3, r0=11, seed=3)
+    value, witness = complement_clique_lower(inst)
+    assert value == 3
+    assert witness.vertices == frozenset({1, 15, 20})
+    assert witness.host_sender == 2
+    assert witness.edges == frozenset(
+        (a, b) for a in (1, 15, 20) for b in (1, 15, 20)
+    )
+    assert witness.sender_conditions == (
+        "no-self-loops",
+        "contains-clique",
+        "no-self-loops",
+        "no-self-loops",
+    )

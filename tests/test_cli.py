@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import msic
 from conftest import corpus_text
 from msic.cli import main
 from msic.instance import Instance, serialize_instance
@@ -219,6 +224,18 @@ def test_bounds_with_exact_solve(corpus_dir, capsys):
     assert res["upper"] == 3
     assert res["sandwich_ok"] is True
     assert res["lower"] <= res["hyperminrank"] <= res["upper"]
+
+
+def test_python_dash_m_runs_the_cli(corpus_dir):
+    env = dict(os.environ)
+    src = str(Path(msic.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "msic", "bounds", str(corpus_dir / "ex2.json"), "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["lower"] == 1
 
 
 def test_bounds_greedy_dominates(corpus_dir, capsys):

@@ -5,15 +5,17 @@ kernel the list-indexed one replaced: every row goes through
 `gf2.basis_add`, the last level inserts and undoes like the others.
 `_reference_search` adds the kernel's visited-state rule with its own
 state key, the set of every vector in each sender's span, and stores
-at most `cap` keys; with `cap` 0 it is the old kernel verbatim.  The
-current kernel must return the same greedy seed and the same
-(value, option indices, leaves) triple on every instance, with and
-without pruning, over the whole first level and over contiguous
-first-level chunks, and under a patched key cap.
+at most `cap` keys; it keys no level that only one path reaches.
+With `cap` 0 it is the old kernel verbatim.  The current kernel must
+return the same greedy seed and the same (value, option indices,
+leaves) triple on every instance, with and without pruning, over the
+whole first level and over contiguous first-level chunks, and under a
+patched key cap.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
@@ -76,6 +78,9 @@ def _reference_search(
     def first_entry(level: int) -> bool:
         if level == K - 1:
             return True
+        paths = len(first_range) * math.prod(len(t.rows) for t in tables[1:level])
+        if paths == 1:
+            return True  # entered at most once: not keyed
         key = tuple(_span(pivots[n].values()) for n in range(N))
         if key in seen[level]:
             return False

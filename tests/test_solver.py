@@ -3,11 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import all_choices, random_suite
+from conftest import all_choices, instances, random_suite
 from msic.codec import code_from_fitting, verify_code
 from msic.hypergraph import fits, sub_adjacency
 from msic.instance import (
@@ -80,25 +79,6 @@ def test_pruned_and_unpruned_agree():
         assert fast.witness_choice == slow.witness_choice
         assert fast.candidates_examined <= slow.candidates_examined
     assert checked >= 10
-
-
-@st.composite
-def instances(draw, max_k: int, max_n: int) -> Instance:
-    """Any valid instance with K <= max_k and N <= max_n."""
-    K = draw(st.integers(min_value=1, max_value=max_k))
-    N = draw(st.integers(min_value=1, max_value=max_n))
-    holders = [draw(st.integers(min_value=1, max_value=(1 << N) - 1)) for _ in range(K)]
-    known = [draw(st.integers(min_value=0, max_value=(1 << K) - 1)) & ~(1 << k) for k in range(K)]
-    return Instance(
-        K=K,
-        N=N,
-        sender_stores=tuple(
-            frozenset(m + 1 for m in range(K) if holders[m] >> n & 1) for n in range(N)
-        ),
-        side_info=tuple(
-            frozenset(m + 1 for m in range(K) if known[k] >> m & 1) for k in range(K)
-        ),
-    )
 
 
 @given(instances(max_k=5, max_n=3))
