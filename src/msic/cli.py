@@ -1,15 +1,24 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
-parameters, 2 unreadable or malformed input or an unwritable output
-path, 3 invalid code, 4 resource cap (search exponent or oracle guard).
+parameters, 2 unreadable, undecodable, too deeply nested or malformed
+input or an unwritable output path, 3 invalid code, 4 resource cap
+(search exponent or oracle guard).
 Reports are deterministic for fixed inputs, flags and seeds, on any
 machine, except for the "timings" object.
+
+`main` reuses one argument parser per process, built on its first call:
+building it costs far more than parsing, and a process that runs many
+calls (a test suite, the benchmark) would otherwise rebuild it per call.
+Parsing keeps no state between calls, and argparse looks up sys.stdout,
+sys.stderr and the terminal width when it prints, so the output is the
+same as with a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -71,9 +80,11 @@ class CLIError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"cannot decode {path}: {exc}", EXIT_PARSE) from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -373,7 +384,9 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
                     help="also write the JSON report to PATH")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="msic",
         description="Exact multi-sender index coding: solve, bound, verify.",

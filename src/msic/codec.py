@@ -92,7 +92,7 @@ def load_code(text: str, inst: Instance) -> LinearCode:
     """Decode {"code": [[vector...]...]} and validate support."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"code"}:
         raise ValueError('code file must be an object with the single field "code"')

@@ -145,7 +145,8 @@ def parse_instance(text: str) -> Instance:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a syntax error, or an integer past the digit limit
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level must be a JSON object")

@@ -46,12 +46,14 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import or_
 from typing import List, Optional, Sequence, Tuple
 
 # Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
 from .hypergraph import CompositeAdjacency, SubChoice, fits
-from .instance import DerivedStats, Instance, check_valid, derive_stats
+from .instance import Instance, check_valid, derive_stats
 
 __all__ = [
     "SolveReport",
@@ -165,6 +167,23 @@ def _even_masks(width: int) -> List[int]:
     return [m for m in range(1 << width) if m.bit_count() % 2 == 0]
 
 
+# A group of options at one key position: its masks in ascending order
+# and the per-sender row delta of each.
+_MaskGroup = Tuple[List[int], List[Tuple[int, ...]]]
+
+
+def _mask_group(masks: List[int], bits: List[Tuple[int, int]], n_senders: int) -> _MaskGroup:
+    """Mask bit i ORs bits[i] = (sender index, row bit) into the delta."""
+    deltas = []
+    for mask in masks:
+        delta = [0] * n_senders
+        for i, (n, bit) in enumerate(bits):
+            if (mask >> i) & 1:
+                delta[n] |= bit
+        deltas.append(tuple(delta))
+    return masks, deltas
+
+
 class _ReceiverTable:
     """All selections of one receiver, in canonical ascending order.
 
@@ -172,58 +191,56 @@ class _ReceiverTable:
     keys[i] is its canonical (demand mask, cached mask, coupled masks...)
     tuple.  Options are generated in ascending key order, so index order
     is key order.
+
+    Each key position is one group of masks: the odd demand masks over
+    the message's holders, every cached mask over the (message, holder)
+    pairs of the side information, then the even holder sets of each
+    coupled message (shared by all receivers, see `_build_tables`).  The
+    rows are expanded one group at a time with the rows built so far as
+    the outer loop, which keeps ascending key order.  No two groups set
+    the same bit, so a mask adds its delta by OR.  A group whose only
+    mask is 0 (no side information, or a coupled message with fewer than
+    two holders) leaves the rows as they are.
     """
 
-    def __init__(self, inst: Instance, stats: DerivedStats, k: int):
-        holders = sorted(stats.availability[k - 1])
-        cached_list = [
-            (m, n)
-            for m in sorted(inst.side_info[k - 1])
-            for n in sorted(stats.availability[m - 1])
+    def __init__(
+        self, inst: Instance, holders: List[List[int]], k: int, coupled: List[_MaskGroup]
+    ):
+        demand = _mask_group(
+            _odd_masks(len(holders[k - 1])),
+            [(n - 1, 1 << (k - 1)) for n in holders[k - 1]],
+            inst.N,
+        )
+        cached_bits = [
+            (n - 1, 1 << (m - 1)) for m in sorted(inst.side_info[k - 1]) for n in holders[m - 1]
         ]
-        self.coupled_msgs = [
-            (k2, sorted(stats.availability[k2 - 1]))
-            for k2 in range(1, inst.K + 1)
-            if k2 != k and k2 not in inst.side_info[k - 1]
-        ]
-        demand_opts = _odd_masks(len(holders))
-        cached_opts = list(range(1 << len(cached_list)))
-        coupled_opts = [_even_masks(len(hs)) for _, hs in self.coupled_msgs]
-
-        self.keys: List[Tuple[int, ...]] = []
-        self.rows: List[Tuple[int, ...]] = []
-        kbit = 1 << (k - 1)
-        n_senders = inst.N
-        for dmask in demand_opts:
-            base = [0] * n_senders
-            for i, n in enumerate(holders):
-                if (dmask >> i) & 1:
-                    base[n - 1] |= kbit
-            for cmask in cached_opts:
-                rows_c = base[:]
-                for i, (m, n) in enumerate(cached_list):
-                    if (cmask >> i) & 1:
-                        rows_c[n - 1] |= 1 << (m - 1)
-                self._expand_coupled(rows_c, (dmask, cmask), coupled_opts, 0)
-
-    def _expand_coupled(self, rows, key, coupled_opts, depth):
-        if depth == len(coupled_opts):
-            self.keys.append(key)
-            self.rows.append(tuple(rows))
-            return
-        k2, holders = self.coupled_msgs[depth]
-        bit = 1 << (k2 - 1)
-        for mask in coupled_opts[depth]:
-            rows_c = rows[:]
-            for i, n in enumerate(holders):
-                if (mask >> i) & 1:
-                    rows_c[n - 1] |= bit
-            self._expand_coupled(rows_c, key + (mask,), coupled_opts, depth + 1)
+        cached = _mask_group(list(range(1 << len(cached_bits))), cached_bits, inst.N)
+        groups = [demand, cached, *coupled]
+        self.keys: List[Tuple[int, ...]] = list(product(*(masks for masks, _ in groups)))
+        rows: List[Tuple[int, ...]] = [(0,) * inst.N]
+        for masks, deltas in groups:
+            if masks != [0]:
+                rows = [tuple(map(or_, row, delta)) for row in rows for delta in deltas]
+        self.rows = rows
 
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
     stats = derive_stats(inst)
-    return [_ReceiverTable(inst, stats, k) for k in range(1, inst.K + 1)]
+    holders = [sorted(a) for a in stats.availability]
+    messages = range(1, inst.K + 1)
+    unknown = [[m for m in messages if m != k and m not in inst.side_info[k - 1]] for k in messages]
+    # a coupled message's group does not depend on the receiver
+    coupled = {
+        m: _mask_group(
+            _even_masks(len(holders[m - 1])),
+            [(n - 1, 1 << (m - 1)) for n in holders[m - 1]],
+            inst.N,
+        )
+        for m in set().union(*unknown)
+    }
+    return [
+        _ReceiverTable(inst, holders, k, [coupled[m] for m in unknown[k - 1]]) for k in messages
+    ]
 
 
 # ---- the search itself ----

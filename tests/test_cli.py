@@ -12,6 +12,7 @@ import pytest
 
 import msic
 from conftest import corpus_text
+from msic import cli
 from msic.cli import main
 from msic.instance import Instance, serialize_instance
 
@@ -190,6 +191,28 @@ def test_verify_non_integer_entry_exits_2(corpus_dir, capsys, entry):
     assert "malformed vector" in err and err.count("\n") == 1
 
 
+TOO_DEEP = b"[" * 200_000
+
+
+@pytest.mark.parametrize("bad_file, content", [
+    ("instance", b"\xff\xfe{}"),
+    ("instance", TOO_DEEP),
+    ("instance", b'{"K": %s, "N": 1, "senders": [[1]], "receivers": [[]]}' % (b"9" * 5000)),
+    ("code", b"\xff\xfe{}"),
+    ("code", TOO_DEEP),
+], ids=["instance-not-utf8", "instance-too-deep", "instance-huge-int",
+        "code-not-utf8", "code-too-deep"])
+def test_undecodable_or_too_deep_input_exits_2(corpus_dir, capsys, bad_file, content):
+    bad = corpus_dir / "bad.json"
+    bad.write_bytes(content)
+    instance = bad if bad_file == "instance" else corpus_dir / "ex1.json"
+    code = bad if bad_file == "code" else corpus_dir / "ex1_code_a.json"
+    rc, out, err = run(capsys, "verify", str(instance), "--code", str(code))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_invalid_code_exits_3(corpus_dir, capsys):
     bad = corpus_dir / "short.code.json"
     bad.write_text('{"code":[[[1,0,0]],[],[]]}')
@@ -236,6 +259,57 @@ def test_python_dash_m_runs_the_cli(corpus_dir):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["results"]["lower"] == 1
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "msic", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _without_timings(out):
+    if not out.startswith("{"):
+        return out
+    report = json.loads(out)
+    report.pop("timings")
+    return report
+
+
+def test_reused_parser_leaks_nothing_between_calls(corpus_dir, capsys, monkeypatch):
+    # argparse wraps usage and help text to COLUMNS; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ)
+    src = str(Path(msic.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    ex1, code = str(corpus_dir / "ex1.json"), str(corpus_dir / "c.json")
+    sequence = [
+        ["solve", ex1, "--emit-code", code, "--json"],
+        ["verify", ex1, "--code", code, "--json"],
+        ["bounds", ex1, "--greedy", "--json"],
+        ["bounds", ex1, "--json"],
+        ["bounds", ex1, "--greedy", "--exact"],
+        ["--version"],
+        ["solve", ex1, "--json"],
+    ]
+    fresh = [_fresh_process(argv, env) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (rc, out, err) in zip(sequence, fresh):
+        got_rc, got_out, got_err = _in_process(capsys, argv)
+        assert (got_rc, _without_timings(got_out), got_err) == (
+            rc, _without_timings(out), err), argv
+    assert [rc for rc, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 0]
+    assert json.loads(fresh[3][1])["arguments"].get("greedy") is False
 
 
 def test_bounds_greedy_dominates(corpus_dir, capsys):
