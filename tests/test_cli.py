@@ -249,24 +249,22 @@ def test_bounds_with_exact_solve(corpus_dir, capsys):
     assert res["lower"] <= res["hyperminrank"] <= res["upper"]
 
 
-def test_python_dash_m_runs_the_cli(corpus_dir):
+def _fresh_process(argv):
+    """Run `python -m msic *argv` in a new interpreter."""
     env = dict(os.environ)
     src = str(Path(msic.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "msic", "bounds", str(corpus_dir / "ex2.json"), "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["results"]["lower"] == 1
-
-
-def _fresh_process(argv, env):
     done = subprocess.run(
         [sys.executable, "-m", "msic", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli(corpus_dir):
+    rc, out, err = _fresh_process(["bounds", str(corpus_dir / "ex2.json"), "--json"])
+    assert rc == 0, err
+    assert json.loads(out)["results"]["lower"] == 1
 
 
 def _in_process(capsys, argv):
@@ -289,9 +287,6 @@ def _without_timings(out):
 def test_reused_parser_leaks_nothing_between_calls(corpus_dir, capsys, monkeypatch):
     # argparse wraps usage and help text to COLUMNS; pin it for both sides
     monkeypatch.setenv("COLUMNS", "80")
-    env = dict(os.environ)
-    src = str(Path(msic.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     ex1, code = str(corpus_dir / "ex1.json"), str(corpus_dir / "c.json")
     sequence = [
         ["solve", ex1, "--emit-code", code, "--json"],
@@ -302,7 +297,7 @@ def test_reused_parser_leaks_nothing_between_calls(corpus_dir, capsys, monkeypat
         ["--version"],
         ["solve", ex1, "--json"],
     ]
-    fresh = [_fresh_process(argv, env) for argv in sequence]
+    fresh = [_fresh_process(argv) for argv in sequence]
     assert cli.build_parser() is cli.build_parser()
     for argv, (rc, out, err) in zip(sequence, fresh):
         got_rc, got_out, got_err = _in_process(capsys, argv)
