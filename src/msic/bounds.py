@@ -3,7 +3,13 @@
 Upper bound: partition the receivers into cliques that one sender can
 serve with a single XOR (mutual side info inside the clique, all of it
 stored at the serving sender).  The partition size certifies itself:
-we build the induced one-row-per-clique code and verify it.
+we build the induced one-row-per-clique code and verify it.  The
+smallest partition is found by branch and bound on the lowest
+uncovered receiver, over bit masks: receiver k is bit k-1 of the
+uncovered set and of each clique, a clique fits when its mask lies
+inside the uncovered one, and cliques with the same receivers are
+tested once.  Past EXACT_NODE_CAP search nodes it stops and keeps the
+best partition found, flagged inexact.
 
 Lower bound: in the complement hypergraph, a vertex set that forms a
 full directed clique with self-loops inside some sender's projection,
@@ -19,7 +25,7 @@ the first in ascending vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 from itertools import combinations
 
 from .codec import LinearCode, verify_code
@@ -107,46 +113,83 @@ def _greedy_cover(
     return chosen
 
 
+def _receiver_mask(receivers: FrozenSet[int]) -> int:
+    """Receiver k as bit k-1."""
+    mask = 0
+    for k in receivers:
+        mask |= 1 << (k - 1)
+    return mask
+
+
 def _exact_cover(
     cliques: List[ImplementableClique],
     K: int,
     seed: List[ImplementableClique],
 ) -> Tuple[List[ImplementableClique], bool]:
-    """Branch-and-bound set partition on the lowest uncovered receiver."""
-    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
-    by_receiver: Dict[int, List[ImplementableClique]] = {
-        k: [c for c in order if k in c.receivers] for k in range(1, K + 1)
-    }
+    """Branch-and-bound set partition on the lowest uncovered receiver.
+
+    The uncovered set and every clique are receiver masks; cliques with
+    the same mask form one group, tested for fit once.  Every child
+    counts as a node toward EXACT_NODE_CAP before it is tested, as in a
+    search that enters each child, so a child cut at once costs no call.
+    Returns the best partition found and whether the cap tripped.
+    """
     max_size = max(len(c.receivers) for c in cliques)
+    cap = EXACT_NODE_CAP
     best = list(seed)
     best_m = len(seed)
-    nodes = 0
-    capped = False
+    # The root is node 1, and its bound alone may prove the seed minimal.
+    if cap < 1:
+        return best, True
+    if -(-K // max_size) >= best_m:
+        return best, False
+    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
+    # The sort puts cliques with the same receivers next to each other.
+    groups: List[Tuple[int, int, List[ImplementableClique]]] = []
+    for c in order:
+        mask = _receiver_mask(c.receivers)
+        if groups and groups[-1][0] == mask:
+            groups[-1][2].append(c)
+        else:
+            groups.append((mask, len(c.receivers), [c]))
+    by_low = [[g for g in groups if g[0] >> k & 1] for k in range(K)]
+    full = (1 << K) - 1
+    nodes = 1
+    parts: List[ImplementableClique] = []
 
-    def rec(uncovered: FrozenSet[int], parts: List[ImplementableClique]) -> None:
-        nonlocal best, best_m, nodes, capped
-        if capped:
-            return
-        nodes += 1
-        if nodes > EXACT_NODE_CAP:
-            capped = True
-            return
-        if not uncovered:
-            if len(parts) < best_m:
-                best_m = len(parts)
-                best = parts.copy()
-            return
-        needed = -(-len(uncovered) // max_size)
-        if len(parts) + needed >= best_m:
-            return
-        k = min(uncovered)
-        for c in by_receiver[k]:
-            if c.receivers <= uncovered:
-                parts.append(c)
-                rec(uncovered - c.receivers, parts)
-                parts.pop()
+    def rec(uncovered: int) -> bool:
+        """Branch on the lowest uncovered receiver; True once capped."""
+        nonlocal best, best_m, nodes
+        depth = len(parts) + 1
+        left = uncovered.bit_count()
+        covered = full ^ uncovered
+        children = iter(by_low[(uncovered & -uncovered).bit_length() - 1])
+        for mask, width, same in children:
+            if mask & covered:
+                continue
+            if width < left and depth - (width - left) // max_size >= best_m:
+                # Cliques come largest first, so this child and every
+                # later one that fits are cut by the same bound.
+                nodes += len(same) + sum(
+                    len(g) for m, _, g in children if not m & covered
+                )
+                return nodes > cap
+            for c in same:
+                nodes += 1
+                if nodes > cap:
+                    return True
+                if width == left:
+                    if depth < best_m:
+                        best_m = depth
+                        best = parts + [c]
+                elif depth - (width - left) // max_size < best_m:
+                    parts.append(c)
+                    if rec(uncovered ^ mask):
+                        return True
+                    parts.pop()
+        return False
 
-    rec(frozenset(range(1, K + 1)), [])
+    capped = rec(full)
     return best, capped
 
 
@@ -154,10 +197,7 @@ def induced_code(cover: CliqueCover, inst: Instance) -> LinearCode:
     """One all-ones transmission per clique, sent by its serving sender."""
     per_sender: List[List[int]] = [[] for _ in range(inst.N)]
     for c in cover.cliques:
-        mask = 0
-        for k in c.receivers:
-            mask |= 1 << (k - 1)
-        per_sender[c.sender - 1].append(mask)
+        per_sender[c.sender - 1].append(_receiver_mask(c.receivers))
     return LinearCode(K=inst.K, senders=tuple(tuple(v) for v in per_sender))
 
 

@@ -189,6 +189,10 @@ def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bo
     plus the receiver's known unit vectors.
     simulate: run the actual encode/decode pipeline over message
     vectors, exhaustively for K <= 16 and on seeded samples beyond.
+    The simulation is bit-sliced: each message bit is an integer
+    holding that bit of every simulated message, so one XOR per
+    support bit encodes a transmission for all messages, and one XOR
+    per selected transmission or known message decodes a receiver.
     """
     check_support(code, inst)
     vectors, _ = _flat_vectors(code)
@@ -213,22 +217,49 @@ def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bo
         sel_side = [side[i] for i in range(len(side)) if (coeffs >> (len(vectors) + i)) & 1]
         plans.append((k, sel_tx, sel_side))
 
-    if inst.K <= SIM_EXHAUSTIVE_LIMIT:
-        messages = range(1 << inst.K)
-    else:
-        rng = random.Random(SIM_SEED)
-        messages = [rng.getrandbits(inst.K) for _ in range(SIM_SAMPLES)]
-    for x in messages:
-        tx = [(vec & x).bit_count() & 1 for vec in vectors]
-        for k, sel_tx, sel_side in plans:
-            bit = 0
-            for i in sel_tx:
-                bit ^= tx[i]
-            for j in sel_side:
-                bit ^= (x >> (j - 1)) & 1
-            if bit != (x >> (k - 1)) & 1:
-                return False
+    columns = _message_columns(inst.K)
+    tx = []
+    for vec in vectors:
+        sent = 0
+        for j in support(vec):
+            sent ^= columns[j]
+        tx.append(sent)
+    for k, sel_tx, sel_side in plans:
+        decoded = 0
+        for i in sel_tx:
+            decoded ^= tx[i]
+        for j in sel_side:
+            decoded ^= columns[j - 1]
+        if decoded != columns[k - 1]:
+            return False
     return True
+
+
+def _message_columns(K: int) -> List[int]:
+    """Bit-sliced simulation messages: entry j has bit x set iff bit j
+    of message x is set.
+
+    The messages are all 2^K vectors for K <= SIM_EXHAUSTIVE_LIMIT and
+    SIM_SAMPLES seeded random vectors beyond, so XOR-ing columns runs
+    one encode or decode step on every message at once.
+    """
+    if K > SIM_EXHAUSTIVE_LIMIT:
+        rng = random.Random(SIM_SEED)
+        rows = [format(rng.getrandbits(K), f"0{K}b") for _ in range(SIM_SAMPLES)]
+        # zip(*rows) yields bit K-1 first; a column's string lists the
+        # messages last first, so message x lands on bit x.
+        return [int("".join(bits[::-1]), 2) for bits in zip(*rows)][::-1]
+    total = 1 << K
+    columns = []
+    for j in range(K):
+        half = 1 << j
+        column = ((1 << half) - 1) << half
+        period = 2 * half
+        while period < total:
+            column |= column << period
+            period *= 2
+        columns.append(column)
+    return columns
 
 
 # ---- code -> fitting ----

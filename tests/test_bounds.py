@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import instances, random_suite
+from msic import bounds
 from msic.bounds import (
     COND_CONTAINS,
     COND_NO_LOOPS,
@@ -215,3 +217,105 @@ def test_lower_at_large_k():
         "no-self-loops",
         "no-self-loops",
     )
+
+
+def _referee_cover(
+    cliques: List[ImplementableClique],
+    K: int,
+    seed: List[ImplementableClique],
+) -> Tuple[List[ImplementableClique], bool]:
+    """The frozenset cover search the mask kernel replaced, as a referee.
+
+    Verbatim but for the `bounds.` prefix on `_clique_key` and on the
+    cap, which lets one monkeypatch cap both searches.
+    """
+    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + bounds._clique_key(c))
+    by_receiver: Dict[int, List[ImplementableClique]] = {
+        k: [c for c in order if k in c.receivers] for k in range(1, K + 1)
+    }
+    max_size = max(len(c.receivers) for c in cliques)
+    best = list(seed)
+    best_m = len(seed)
+    nodes = 0
+    capped = False
+
+    def rec(uncovered: FrozenSet[int], parts: List[ImplementableClique]) -> None:
+        nonlocal best, best_m, nodes, capped
+        if capped:
+            return
+        nodes += 1
+        if nodes > bounds.EXACT_NODE_CAP:
+            capped = True
+            return
+        if not uncovered:
+            if len(parts) < best_m:
+                best_m = len(parts)
+                best = parts.copy()
+            return
+        needed = -(-len(uncovered) // max_size)
+        if len(parts) + needed >= best_m:
+            return
+        k = min(uncovered)
+        for c in by_receiver[k]:
+            if c.receivers <= uncovered:
+                parts.append(c)
+                rec(uncovered - c.receivers, parts)
+                parts.pop()
+
+    rec(frozenset(range(1, K + 1)), [])
+    return best, capped
+
+
+# A sweep costs about the square of the node total, so past this many
+# nodes it keeps every cap up to here, every 97th beyond and the last
+# three.  Only embedded9-g1 (8,397 nodes) is that large.
+SWEEP_NODES = 1_100
+
+SWEPT = [(f"suite{i}", inst) for i, inst in enumerate(random_suite(50))] + [
+    (f"embedded{K}-g{g}", generate_embedded(K, g))
+    for K in range(2, 10)
+    for g in range(10)
+]
+
+
+def _node_total(args, monkeypatch):
+    """The least cap at which the referee finishes."""
+    low, high = 0, bounds.EXACT_NODE_CAP
+    while low < high:
+        monkeypatch.setattr(bounds, "EXACT_NODE_CAP", (low + high) // 2)
+        if _referee_cover(*args)[1]:
+            low = (low + high) // 2 + 1
+        else:
+            high = (low + high) // 2
+    return low
+
+
+@pytest.mark.parametrize("inst", [i for _, i in SWEPT], ids=[n for n, _ in SWEPT])
+def test_cover_matches_the_referee_at_every_cap(inst, monkeypatch):
+    # The cap trips at the same node only if both count nodes alike, so
+    # any difference in the counting shows at some cap.
+    cliques = enumerate_implementable_cliques(inst)
+    args = (cliques, inst.K, bounds._greedy_cover(cliques, inst.K))
+    total = _node_total(args, monkeypatch)
+    caps = range(total + 2)
+    if total > SWEEP_NODES:
+        caps = [*range(SWEEP_NODES), *range(SWEEP_NODES, total - 1, 97), total - 1, total, total + 1]
+    for cap in caps:
+        monkeypatch.setattr(bounds, "EXACT_NODE_CAP", cap)
+        assert bounds._exact_cover(*args) == _referee_cover(*args), cap
+
+
+@pytest.mark.parametrize("K, seed", [(13, 14), (14, 36)])
+def test_capped_cover_matches_the_referee(K, seed):
+    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
+    args = (cliques, K, bounds._greedy_cover(cliques, K))
+    cover, capped = bounds._exact_cover(*args)
+    assert capped
+    assert (cover, capped) == _referee_cover(*args)
+
+
+def test_capped_cover_is_flagged_inexact():
+    # The cap trips first, so the cover is the best found, not a proof.
+    m, cover = clique_cover_upper(generate_embedded(13, seed=14))
+    assert m == 7
+    assert not cover.exact

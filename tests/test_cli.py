@@ -249,6 +249,17 @@ def test_bounds_with_exact_solve(corpus_dir, capsys):
     assert res["lower"] <= res["hyperminrank"] <= res["upper"]
 
 
+def test_bounds_reports_a_capped_cover(capsys, tmp_path):
+    target = tmp_path / "e13.json"
+    rc, _, _ = run(capsys, "gen", "--embedded", "--k", "13", "--seed", "14",
+                   "--out", str(target))
+    assert rc == 0
+    rc, rep, _ = run_json(capsys, "bounds", str(target))
+    assert rc == 0
+    assert rep["results"]["upper"] == 7
+    assert rep["results"]["cover_exact"] is False
+
+
 def _fresh_process(argv):
     """Run `python -m msic *argv` in a new interpreter."""
     env = dict(os.environ)

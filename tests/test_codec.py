@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import corpus_text, random_suite
+from msic import codec
+from msic.bounds import clique_cover_upper, induced_code
 from msic.codec import (
     CodeSupportError,
     LinearCode,
@@ -17,7 +19,9 @@ from msic.codec import (
     serialize_code,
     verify_code,
 )
+from msic.gf2 import express_in_span
 from msic.hypergraph import CompositeAdjacency, fits
+from msic.instance import generate_random
 from msic.solver import hyperminrank
 
 # Rank-3 fitting of ex1: induces x1+x2 at sender 1, x3 at 2, x1+x3 at 3.
@@ -140,3 +144,91 @@ def test_round_trip_through_solver_witness():
         assert verify_code(code, inst, mode="simulate")
         back = code_to_fitting(code, inst)
         assert back.sum_rank() <= code_length(code)
+
+
+def _simulate_per_message(code, inst):
+    """The per-message simulation the bit-sliced one replaced, as a
+    referee.
+
+    Verbatim but for calling codec.express_in_span and reading the
+    codec constants, so that a monkeypatch reaches both simulations.
+    """
+    vectors, _ = codec._flat_vectors(code)
+    plans = []
+    for k in range(1, inst.K + 1):
+        side = sorted(inst.side_info[k - 1])
+        basis = vectors + [1 << (j - 1) for j in side]
+        coeffs = codec.express_in_span(1 << (k - 1), basis)
+        if coeffs is None:
+            return False
+        sel_tx = [i for i in range(len(vectors)) if (coeffs >> i) & 1]
+        sel_side = [side[i] for i in range(len(side)) if (coeffs >> (len(vectors) + i)) & 1]
+        plans.append((k, sel_tx, sel_side))
+
+    if inst.K <= codec.SIM_EXHAUSTIVE_LIMIT:
+        messages = range(1 << inst.K)
+    else:
+        rng = random.Random(codec.SIM_SEED)
+        messages = [rng.getrandbits(inst.K) for _ in range(codec.SIM_SAMPLES)]
+    for x in messages:
+        tx = [(vec & x).bit_count() & 1 for vec in vectors]
+        for k, sel_tx, sel_side in plans:
+            bit = 0
+            for i in sel_tx:
+                bit ^= tx[i]
+            for j in sel_side:
+                bit ^= (x >> (j - 1)) & 1
+            if bit != (x >> (k - 1)) & 1:
+                return False
+    return True
+
+
+def _random_codes(inst, rng, count):
+    """Random codes inside the sender stores, plus the induced cover
+    code, which always decodes."""
+    codes = [induced_code(clique_cover_upper(inst, mode="greedy")[1], inst)]
+    for _ in range(count):
+        senders = []
+        for store in inst.sender_stores:
+            mask = sum(1 << (m - 1) for m in store)
+            senders.append(
+                tuple(rng.getrandbits(inst.K) & mask for _ in range(rng.randrange(4)))
+            )
+        codes.append(LinearCode(K=inst.K, senders=tuple(senders)))
+    return codes
+
+
+def test_simulation_matches_the_per_message_referee():
+    rng = random.Random(7)
+    verdicts = []
+    for inst in random_suite(50) + [
+        generate_random(K, 3, delta=0.5, r0=K // 2, seed=K) for K in range(5, 13)
+    ]:
+        for code in _random_codes(inst, rng, 6):
+            verdict = verify_code(code, inst, mode="simulate")
+            assert verdict == _simulate_per_message(code, inst)
+            verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("K", [17, 18])
+def test_sampled_simulation_matches_the_referee(K):
+    inst = generate_random(K, 4, delta=0.5, r0=K // 2, seed=K)
+    codes = _random_codes(inst, random.Random(K), 2)
+    assert verify_code(codes[0], inst, mode="simulate")
+    for code in codes:
+        assert verify_code(code, inst, mode="simulate") == _simulate_per_message(code, inst)
+
+
+@pytest.mark.parametrize("K", [6, 17])
+def test_wrong_decode_plan_fails_the_simulation(K, monkeypatch):
+    # Flipping the first coefficient adds a nonzero transmission to every
+    # receiver's sum, so some message decodes wrong in both simulations.
+    inst = generate_random(K, 3, delta=0.5, r0=K // 2, seed=K)
+    code = induced_code(clique_cover_upper(inst, mode="greedy")[1], inst)
+    assert verify_code(code, inst, mode="simulate")
+    monkeypatch.setattr(
+        codec, "express_in_span", lambda target, basis: express_in_span(target, basis) ^ 1
+    )
+    assert not verify_code(code, inst, mode="simulate")
+    assert not _simulate_per_message(code, inst)
