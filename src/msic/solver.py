@@ -5,8 +5,27 @@ The search walks the Cartesian product of per-receiver selections
 unknown message), maintaining one XOR basis per sender so each block's
 rank updates incrementally.  A basis is a list of K pivot slots indexed
 by bit position; rows are inserted in place and undone by zeroing the
-slot they filled, and the last receiver's options are only probed
-(reduced against the bases, never inserted).
+slot they filled.
+
+The last receiver's options are never inserted, nor even stored.  The
+fitting criterion ties the senders together only through parities: the
+demand must reach an odd number of senders and each message the
+receiver does not know an even number, so that the signals cancel.  So
+an option of receiver k is any choice of one row r_n per sender n in
+V_n, the span of the messages n stores, with sigma_k(sum of the r_n) =
+e_k, where sigma_k keeps bit k and the bits of the messages k does not
+know.  Let d* be the least rank increase any option can add to the
+current bases.  Every basis row of sender n lies in V_n, so d* = 0
+exactly when e_k lies in the span of sigma_k(b) over every basis row b
+of every sender: one elimination over at most K bits.  Otherwise d* = 1,
+since option 0 (the demand at its first holder, nothing else) adds at
+most one.  So a probe of the last level counts all its options as
+leaves and then either skips (rank + d* reaches the incumbent), takes
+option 0 (d* = 1), or scans lazily, in canonical order, to the first
+option that adds nothing (d* = 0): the option a full enumeration would
+end on.  The greedy seed picks its options the same way, and with
+pruning an inner level whose room has fallen to one returns at once
+when its d* is 1, since every option left there would be cut.
 
 With pruning, the search also skips repeated states.  The best
 completion below a node depends only on its level and on each sender's
@@ -46,9 +65,11 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
+from math import prod
 from operator import or_
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
@@ -187,24 +208,39 @@ def _mask_group(masks: List[int], bits: List[Tuple[int, int]], n_senders: int) -
 class _ReceiverTable:
     """All selections of one receiver, in canonical ascending order.
 
-    rows[i] is option i as a tuple of per-sender row contributions;
-    keys[i] is its canonical (demand mask, cached mask, coupled masks...)
-    tuple.  Options are generated in ascending key order, so index order
-    is key order.
+    Option i is a tuple of per-sender row contributions, `row(i)`, and
+    there are `count` options; keys[i] is its canonical (demand mask,
+    cached mask, coupled masks...) tuple.  Options are generated in
+    ascending key order, so index order is key order.
 
     Each key position is one group of masks: the odd demand masks over
     the message's holders, every cached mask over the (message, holder)
     pairs of the side information, then the even holder sets of each
     coupled message (shared by all receivers, see `_build_tables`).  The
-    rows are expanded one group at a time with the rows built so far as
-    the outer loop, which keeps ascending key order.  No two groups set
-    the same bit, so a mask adds its delta by OR.  A group whose only
-    mask is 0 (no side information, or a coupled message with fewer than
-    two holders) leaves the rows as they are.
+    options are expanded one group at a time with the options built so
+    far as the outer loop, which keeps ascending key order, so option i
+    is the mixed-radix number whose last digit indexes the last group.
+    No two groups set the same bit, so a mask adds its delta by OR.  A
+    group whose only mask is 0 (no side information, or a coupled
+    message with fewer than two holders) leaves the rows as they are;
+    `live` holds the other groups.
+
+    `rows` lists every option, but only when the table is built with
+    `expand`; the search never stores the last table (see `_search`),
+    and `scan` expands any range of options lazily.  `keys` is built on
+    first access.  `demand` is the receiver's message bit and `parity`
+    (sigma) adds the bits of the messages it does not know: the
+    coordinates whose sums over the senders the fitting criterion fixes.
     """
 
     def __init__(
-        self, inst: Instance, holders: List[List[int]], k: int, coupled: List[_MaskGroup]
+        self,
+        inst: Instance,
+        holders: List[List[int]],
+        k: int,
+        unknown: List[int],
+        coupled: Dict[int, _MaskGroup],
+        expand: bool,
     ):
         demand = _mask_group(
             _odd_masks(len(holders[k - 1])),
@@ -215,13 +251,46 @@ class _ReceiverTable:
             (n - 1, 1 << (m - 1)) for m in sorted(inst.side_info[k - 1]) for n in holders[m - 1]
         ]
         cached = _mask_group(list(range(1 << len(cached_bits))), cached_bits, inst.N)
-        groups = [demand, cached, *coupled]
-        self.keys: List[Tuple[int, ...]] = list(product(*(masks for masks, _ in groups)))
-        rows: List[Tuple[int, ...]] = [(0,) * inst.N]
-        for masks, deltas in groups:
-            if masks != [0]:
+        self.groups = [demand, cached, *(coupled[m] for m in unknown)]
+        self.live = [group for group in self.groups if group[0] != [0]]
+        self.count = prod(len(masks) for masks, _ in self.live)
+        self.demand = 1 << (k - 1)
+        self.parity = sum(1 << (m - 1) for m in unknown) | self.demand
+        self.zero = (0,) * inst.N
+        self.rows: Optional[List[Tuple[int, ...]]] = None
+        if expand:
+            rows = [self.zero]
+            for _, deltas in self.live:
                 rows = [tuple(map(or_, row, delta)) for row in rows for delta in deltas]
-        self.rows = rows
+            self.rows = rows
+
+    @cached_property
+    def keys(self) -> List[Tuple[int, ...]]:
+        return list(product(*(masks for masks, _ in self.groups)))
+
+    def row(self, idx: int) -> Tuple[int, ...]:
+        """Option idx: from `rows` when expanded, else decoded digit by
+        digit from the last group."""
+        if self.rows is not None:
+            return self.rows[idx]
+        row = self.zero
+        for masks, deltas in reversed(self.live):
+            idx, digit = divmod(idx, len(masks))
+            row = tuple(map(or_, row, deltas[digit]))
+        return row
+
+    def scan(self, indices: range) -> Iterator[Tuple[int, ...]]:
+        """The rows of options `indices` (a unit-step range), expanded
+        lazily in index order."""
+        rows: Iterator[Tuple[int, ...]] = iter([self.zero])
+        for _, deltas in self.live:
+            rows = _extend(rows, deltas)
+        return islice(rows, indices.start, indices.stop)
+
+
+def _extend(rows: Iterator[Tuple[int, ...]], deltas: List[Tuple[int, ...]]):
+    # a function, so that each generator keeps its own group's deltas
+    return (tuple(map(or_, row, delta)) for row in rows for delta in deltas)
 
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
@@ -238,12 +307,79 @@ def _build_tables(inst: Instance) -> List[_ReceiverTable]:
         )
         for m in set().union(*unknown)
     }
-    return [
-        _ReceiverTable(inst, holders, k, [coupled[m] for m in unknown[k - 1]]) for k in messages
-    ]
+    # the last table is only probed (see `_search`), so it is not expanded
+    return [_ReceiverTable(inst, holders, k, unknown[k - 1], coupled, k < inst.K) for k in messages]
 
 
 # ---- the search itself ----
+
+
+def _least_increase(pivots: List[List[int]], table: _ReceiverTable) -> int:
+    """d*: the least rank any option of `table` adds to the bases, 0 or 1.
+
+    Per-sender rows form an option exactly when each row lies in V_n,
+    the span of sender n's stored messages, and their sum over the
+    senders, masked to `table.parity` (sigma), is the demand bit e_k.
+    Every basis row of sender n lies in V_n, so some option adds nothing
+    exactly when e_k lies in the span of sigma(b) over every basis row b
+    of every sender: one elimination over at most K bits.  Otherwise
+    option 0 (the demand at its first holder, nothing else) adds one.
+    """
+    parity = table.parity
+    basis = [0] * len(pivots[0])
+    for pv in pivots:
+        for row in filter(None, pv):
+            row &= parity
+            while row:
+                p = row.bit_length() - 1
+                v = basis[p]
+                if not v:
+                    basis[p] = row
+                    break
+                row ^= v
+    row = table.demand
+    while row:
+        v = basis[row.bit_length() - 1]
+        if not v:
+            return 1
+        row ^= v
+    return 0
+
+
+def _cheapest(
+    pivots: List[List[int]], table: _ReceiverTable, indices: range, room: int
+) -> Optional[Tuple[int, int]]:
+    """(rank increase, index) of the first option in `indices` whose
+    increase is the least there, if it is below `room`; else None.
+
+    No option adds less than d* (`_least_increase`), so nothing is
+    scanned when d* >= room, and the scan stops at the first option that
+    adds d*.  Over the whole table that is option 0 when d* = 1, and the
+    first option that adds nothing when d* = 0.
+    """
+    floor = _least_increase(pivots, table)
+    if floor >= room:
+        return None
+    if floor and indices.start == 0 < indices.stop:
+        return 1, 0  # option 0 puts the demand at its first holder only
+    found = None
+    for idx, rows in zip(indices, table.scan(indices)):
+        delta = 0
+        for pv, row in zip(pivots, rows):
+            while row:
+                v = pv[row.bit_length() - 1]
+                if not v:
+                    delta += 1
+                    break
+                row ^= v
+            if delta >= room:
+                break
+        else:
+            found = delta, idx
+            if delta == floor:
+                break
+            room = delta
+    return found
 
 
 def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
@@ -253,31 +389,16 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     to the smallest index) usually lands close to the optimum, which
     lets the exact pass prune hard from the start.  Any seed >= the
     true minimum keeps the canonically-first witness reachable, so this
-    never changes the reported result.
+    never changes the reported result.  The smallest increase is d*,
+    0 or 1 (`_least_increase`), so each level takes option 0 or scans
+    to its first option that adds nothing; no table is scanned whole.
     """
     K = len(tables)
     pivots = [[0] * K for _ in range(N)]
     total = 0
     for table in tables:
-        best_idx = 0
-        best_delta = N + 1
-        for idx, rows in enumerate(table.rows):
-            delta = 0
-            for pv, row in zip(pivots, rows):
-                while row:
-                    v = pv[row.bit_length() - 1]
-                    if not v:
-                        delta += 1
-                        break
-                    row ^= v
-                if delta >= best_delta:
-                    break
-            else:
-                best_delta = delta
-                best_idx = idx
-                if not delta:
-                    break
-        for pv, row in zip(pivots, table.rows[best_idx]):
+        delta, idx = _cheapest(pivots, table, range(table.count), N + 1)
+        for pv, row in zip(pivots, table.row(idx)):
             while row:
                 p = row.bit_length() - 1
                 v = pv[p]
@@ -285,7 +406,7 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
                     pv[p] = row
                     break
                 row ^= v
-        total += best_delta
+        total += delta
     return total
 
 
@@ -304,9 +425,15 @@ def _search(
     the level's undo lists and zeroed on the way back.  With pruning,
     insertion stops as soon as the rank reaches the incumbent, since
     that option is cut anyway, and a level stops once its parent's rank
-    alone reaches it.  The last level only probes: rows are reduced but
-    never inserted, and an option's reduction stops once it cannot beat
-    the incumbent.  Every last-level option still counts as a leaf.
+    alone reaches it, or once the room left is one and its d* is 1
+    (`_least_increase`): then every option left would be cut, so no leaf
+    and no state key changes.
+
+    The last level is only probed, through d* (see the module
+    docstring): every last-level option counts as a leaf, also when the
+    probe is skipped, and the probe takes the option a full enumeration
+    in canonical order would end on, the first that adds the least rank
+    below the room (`_cheapest`).
 
     With pruning, an inner child is entered only if its state key is
     new at its level (see the module docstring).  The key is an int: a
@@ -319,8 +446,8 @@ def _search(
     K = len(tables)
     last = K - 1
     all_rows = [table.rows for table in tables]
-    last_rows = all_rows[last]
-    full = [range(len(rows)) for rows in all_rows]
+    last_table = tables[last]
+    full = [range(table.count) for table in tables]
     pivots = [[0] * K for _ in range(N)]
     undo_pivots = [[pivots[0]] * N for _ in range(K)]
     undo_slots = [[0] * N for _ in range(K)]
@@ -342,30 +469,16 @@ def _search(
         if paths > 1:
             first_keyed = child
             break
-        paths *= len(all_rows[child])
+        paths *= tables[child].count
 
     def probe(indices: range, rank: int) -> None:
         nonlocal best, found, leaves
         leaves += len(indices)
-        room = best - rank
-        for idx in indices:
-            delta = 0
-            for pv, row in zip(pivots, last_rows[idx]):
-                while row:
-                    v = pv[row.bit_length() - 1]
-                    if not v:
-                        delta += 1
-                        break
-                    row ^= v
-                if delta >= room:
-                    break
-            else:
-                best = rank + delta
-                combo[last] = idx
-                found = tuple(combo)
-                if not delta:
-                    return
-                room = delta
+        cheapest = _cheapest(pivots, last_table, indices, best - rank)
+        if cheapest is not None:
+            delta, combo[last] = cheapest
+            best = rank + delta
+            found = tuple(combo)
 
     def descend(level: int, indices: range, rank: int) -> None:
         nonlocal stored
@@ -374,10 +487,16 @@ def _search(
         slots = undo_slots[level]
         child = level + 1
         visited = seen[child]
+        floor = None  # d* of this level, found once the room falls to 1
         for idx in indices:
             if prune:
                 room = best - rank
-                if room <= 0:
+                if room == 1:
+                    if floor is None:
+                        floor = _least_increase(pivots, tables[level])
+                    if floor:
+                        return  # every option left adds one: all are cut
+                elif room <= 0:
                     return
             else:
                 room = unlimited
@@ -474,17 +593,12 @@ def hyperminrank(
         incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
     else:
         incumbent = inst.K + 1
-    value, combo, leaves = _search(
-        tables, inst.N, prune, range(len(tables[0].rows)), incumbent
-    )
+    value, combo, leaves = _search(tables, inst.N, prune, range(tables[0].count), incumbent)
     assert combo is not None
     witness = CompositeAdjacency(
         K=inst.K,
         N=inst.N,
-        blocks=tuple(
-            tuple(table.rows[idx][n] for table, idx in zip(tables, combo))
-            for n in range(inst.N)
-        ),
+        blocks=tuple(zip(*(table.row(idx) for table, idx in zip(tables, combo)))),
     )
     choice = fits(witness, inst)
     assert choice is not None

@@ -2,38 +2,66 @@
 
 `_reference_greedy_dive` and `_reference_search` are the dict-pivot
 kernel the list-indexed one replaced: every row goes through
-`gf2.basis_add`, the last level inserts and undoes like the others.
-`_reference_search` adds the kernel's visited-state rule with its own
-state key, the set of every vector in each sender's span, and stores
-at most `cap` keys; it keys no level that only one path reaches.
-With `cap` 0 it is the old kernel verbatim.  The current kernel must
-return the same greedy seed and the same (value, option indices,
-leaves) triple on every instance, with and without pruning, over the
-whole first level and over contiguous first-level chunks, and under a
-patched key cap.
+`gf2.basis_add`, the last level inserts and undoes like the others, and
+every option of every table is enumerated, over rows the referee
+expands itself (`_expand`), where the kernel stops at the least rank
+increase d* or scans nothing.  `_reference_search` adds the kernel's
+visited-state rule with its own state key, the set of every vector in
+each sender's span, and stores at most `cap` keys; it keys no level
+that only one path reaches.  With `cap` 0 it is the old enumerating
+kernel.  The current kernel must return the same greedy seed and the
+same (value, option indices, leaves) triple on every instance, with and
+without pruning, over the whole first level and over contiguous
+first-level chunks, and under a patched key cap.
+
+d* itself (`solver._least_increase`) and the option the kernel takes
+for it (`solver._cheapest`) are checked against full enumeration of a
+materialized table, in random search states reached by inserting a
+random prefix of options.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from functools import reduce
+from itertools import product
+from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
 from conftest import corpus_instance, random_suite
 from msic import solver
-from msic.gf2 import basis_add
-from msic.instance import generate_random, serialize_instance
-from msic.solver import _build_tables, _greedy_dive, _search, complexity_exponents
+from msic.gf2 import basis_add, gf2_rank
+from msic.instance import Instance, generate_random, serialize_instance
+from msic.solver import (
+    _build_tables,
+    _cheapest,
+    _greedy_dive,
+    _least_increase,
+    _search,
+    complexity_exponents,
+)
+
+
+def _expand(table) -> List[Tuple[int, ...]]:
+    """Every option of `table` in canonical order: one delta per group,
+    the groups' deltas ORed sender by sender, the last group fastest."""
+    return [
+        tuple(reduce(or_, column) for column in zip(*parts))
+        for parts in product(*(deltas for _, deltas in table.groups))
+    ]
 
 
 def _reference_greedy_dive(tables, N: int) -> int:
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     total = 0
     for table in tables:
+        table_rows = _expand(table)
         best_idx = 0
         best_delta = None
-        for idx, rows in enumerate(table.rows):
+        for idx, rows in enumerate(table_rows):
             delta = 0
             for n in range(N):
                 row = rows[n]
@@ -47,7 +75,7 @@ def _reference_greedy_dive(tables, N: int) -> int:
                 if delta == 0:
                     break
         for n in range(N):
-            row = table.rows[best_idx][n]
+            row = table_rows[best_idx][n]
             if row:
                 basis_add(pivots[n], row)
         total += best_delta or 0
@@ -70,6 +98,7 @@ def _reference_search(
     cap: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
     K = len(tables)
+    all_rows = [_expand(table) for table in tables]
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     combo = [0] * K
     state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0, "stored": 0}
@@ -78,7 +107,7 @@ def _reference_search(
     def first_entry(level: int) -> bool:
         if level == K - 1:
             return True
-        paths = len(first_range) * math.prod(len(t.rows) for t in tables[1:level])
+        paths = len(first_range) * math.prod(len(rows) for rows in all_rows[1:level])
         if paths == 1:
             return True  # entered at most once: not keyed
         key = tuple(_span(pivots[n].values()) for n in range(N))
@@ -90,10 +119,9 @@ def _reference_search(
         return True
 
     def descend(level: int, indices) -> None:
-        table = tables[level]
         last = level == K - 1
         for idx in indices:
-            rows = table.rows[idx]
+            rows = all_rows[level][idx]
             combo[level] = idx
             added = []
             delta = 0
@@ -111,7 +139,7 @@ def _reference_search(
                     state["best"] = state["rank"]
                     state["combo"] = tuple(combo)
             elif not prune or (state["rank"] < state["best"] and first_entry(level + 1)):
-                descend(level + 1, range(len(tables[level + 1].rows)))
+                descend(level + 1, range(len(all_rows[level + 1])))
             state["rank"] -= delta
             for n, pivot in added:
                 del pivots[n][pivot]
@@ -153,7 +181,7 @@ def test_kernel_matches_reference(name, inst):
     runs = [(True, min(seed, inst.K) + 1)]
     if complexity_exponents(inst).e2 <= 14:
         runs.append((False, inst.K + 1))
-    first_count = len(tables[0].rows)
+    first_count = tables[0].count
     for prune, incumbent in runs:
         for workers in (1, 2, 3):
             for chunk in _chunks(first_count, workers):
@@ -170,9 +198,103 @@ def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
     # the visited-state rule; cap 3 fills the sets and then only looks up
     tables = _build_tables(inst)
     incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
-    whole = range(len(tables[0].rows))
+    whole = range(tables[0].count)
     for cap in (0, 3):
         monkeypatch.setattr(solver, "VISITED_STATE_CAP", cap)
         got = _search(tables, inst.N, True, whole, incumbent)
         want = _reference_search(tables, inst.N, True, whole, incumbent, cap)
         assert got == want, (serialize_instance(inst), cap)
+
+
+# ---- the option tables and d* against full enumeration ----
+
+
+def _full(K: int, N: int) -> Instance:
+    """Every sender stores every message; each receiver knows all others."""
+    everything = frozenset(range(1, K + 1))
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=(everything,) * N,
+        side_info=tuple(everything - {k} for k in range(1, K + 1)),
+    )
+
+
+def _state_instances():
+    out = list(INSTANCES)
+    out += [(f"full{K}_{N}", _full(K, N)) for K, N in ((2, 3), (2, 4), (3, 2), (3, 3))]
+    for g in range(30):
+        inst = generate_random(5, 4, 0.8, 3, seed=g)
+        if complexity_exponents(inst).e2 <= 20:
+            out.append((f"random5x4_{g}", inst))
+    return out
+
+
+STATE_INSTANCES = _state_instances()
+
+
+def test_state_checks_cover_replicated_instances():
+    assert len([name for name, _ in STATE_INSTANCES if name.startswith("random5x4")]) >= 5
+
+
+def _increase(pivots: List[List[int]], rows: Tuple[int, ...]) -> int:
+    """The rank `rows` add to the kernel bases, from gf2_rank."""
+    return sum(
+        gf2_rank([*pv, row]) - gf2_rank(pv) for pv, row in zip(pivots, rows)
+    )
+
+
+def _random_state(expanded: List[List[Tuple[int, ...]]], N: int, rng: random.Random):
+    """Kernel bases after inserting one random option of each receiver
+    in a random prefix, as `_search` holds them on the way down."""
+    K = len(expanded)
+    pivots = [[0] * K for _ in range(N)]
+    for rows in expanded[: rng.randrange(K)]:
+        for pv, row in zip(pivots, rng.choice(rows)):
+            while row:
+                p = row.bit_length() - 1
+                if not pv[p]:
+                    pv[p] = row
+                    break
+                row ^= pv[p]
+    return pivots
+
+
+@pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
+def test_tables_match_the_referee_expansion(name, inst):
+    tables = _build_tables(inst)
+    for k, table in enumerate(tables, start=1):
+        rows = _expand(table)
+        assert table.count == len(rows)
+        assert table.rows == (rows if k < inst.K else None)  # the last is never stored
+        assert [table.row(i) for i in range(table.count)] == rows
+        assert list(table.scan(range(table.count))) == rows
+        lo, hi = table.count // 3, 2 * table.count // 3 + 1
+        assert list(table.scan(range(lo, hi))) == rows[lo:hi]
+        assert "keys" not in vars(table)  # built on first access only
+        assert len(table.keys) == table.count
+        assert table.keys == sorted(table.keys)
+
+
+@pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
+def test_least_increase_matches_enumeration(name, inst):
+    # d* and the option the kernel takes for it, in random search states,
+    # against every option of the materialized table
+    tables = _build_tables(inst)
+    expanded = [_expand(table) for table in tables]
+    rng = random.Random(name)
+    for _ in range(8):
+        pivots = _random_state(expanded, inst.N, rng)
+        for table, rows in zip(tables, expanded):
+            deltas = [_increase(pivots, row) for row in rows]
+            assert _least_increase(pivots, table) == min(deltas) <= 1
+            lo = rng.randrange(table.count)
+            part = range(lo, rng.randrange(lo, table.count) + 1)
+            for indices in (range(table.count), part):
+                scanned = deltas[indices.start : indices.stop]
+                least = min(scanned)
+                first = (least, indices.start + scanned.index(least))
+                for room in range(inst.N + 2):
+                    want = first if least < room else None
+                    got = _cheapest(pivots, table, indices, room)
+                    assert got == want, (serialize_instance(inst), pivots, indices, room)

@@ -67,6 +67,37 @@ def test_no_pruning_matches_advertised_size_without_replicated_side_info():
     assert report.candidates_examined == space == 1 << e1
 
 
+def test_single_receiver_solves_without_an_inner_level():
+    # K = 1: the only table is the probed last one, never expanded
+    inst = Instance(
+        K=1, N=3, sender_stores=(frozenset({1}),) * 3, side_info=(frozenset(),)
+    )
+    for prune in (True, False):
+        report = hyperminrank(inst, prune=prune)
+        assert report.hyperminrank == 1
+        assert report.candidates_examined == 4  # the odd holder sets of message 1
+        assert report.witness.blocks == ((1,), (0,), (0,))
+        assert report.witness_choice.demand_senders == (frozenset({1}),)
+
+
+def test_unpruned_wide_solve_counts_every_last_level_option():
+    # fully replicated K = 2, N = 5: the last level's 512 options are
+    # counted on every probe, not enumerated
+    both = frozenset({1, 2})
+    inst = Instance(
+        K=2, N=5, sender_stores=(both,) * 5, side_info=(frozenset({2}), frozenset({1}))
+    )
+    assert complexity_exponents(inst).e2 == 18
+    slow = hyperminrank(inst, prune=False)
+    assert slow.candidates_examined == 1 << 18
+    assert slow.hyperminrank == 1
+    # sender 1 sends x1 + x2, and both receivers decode from it
+    assert slow.witness.blocks == ((3, 3), (0, 0), (0, 0), (0, 0), (0, 0))
+    fast = hyperminrank(inst)
+    assert fast.witness == slow.witness
+    assert fast.candidates_examined == 1024
+
+
 def test_pruned_and_unpruned_agree():
     checked = 0
     for inst in random_suite(40):
