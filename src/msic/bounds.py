@@ -17,19 +17,28 @@ and that meets the per-sender hypothesis everywhere else, forces that
 many independent rows in any valid selection.  Such a set is exactly a
 clique of one K-vertex compatibility graph: two vertices are compatible
 when every sender either has a self-loop on both, with both directed
-pairs between them, or has a self-loop on neither.  A branch and bound
-over bit masks (Carraghan & Pardalos, 1990) finds its largest clique,
-the first in ascending vertex order.
+pairs between them, or has a self-loop on neither.  Unfolding
+`hypergraph.complement` for a != b and one sender n gives that graph
+in closed form:
+
+  - n has a self-loop on k exactly when n stores k (demand edges);
+  - n lacks the pair (a, b) exactly when n holds b and either a knows
+    b (a cached edge) or b has two or more holders (coupled edges);
+  - so a and b are compatible exactly when they share one single
+    holder and neither knows the other's message.
+
+The graph is read from per-message holder masks and per-receiver
+side-information masks, and a branch and bound over bit masks
+(Carraghan & Pardalos, 1990) finds its largest clique, the first in
+ascending vertex order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
-from itertools import combinations
+from typing import FrozenSet, List, Tuple
 
 from .codec import LinearCode, verify_code
-from .hypergraph import build, complement, sender_projection_pairs
 from .instance import Instance, check_valid
 
 __all__ = [
@@ -83,20 +92,30 @@ def _clique_key(c: ImplementableClique) -> Tuple:
 
 
 def enumerate_implementable_cliques(inst: Instance) -> List[ImplementableClique]:
-    """Every nonempty subset of some sender's store with mutual side info."""
+    """Every nonempty subset of some sender's store with mutual side info.
+
+    A clique grows only by higher receivers of the store that know, and
+    are known by, every member, so the work follows the cliques rather
+    than the subsets of the store.
+    """
     check_valid(inst)
-    found = set()
-    for n in range(1, inst.N + 1):
-        store = sorted(inst.sender_stores[n - 1])
-        for size in range(1, len(store) + 1):
-            for subset in combinations(store, size):
-                if all(
-                    k2 in inst.side_info[k - 1]
-                    for k in subset
-                    for k2 in subset
-                    if k2 != k
-                ):
-                    found.add(ImplementableClique(frozenset(subset), n))
+    mutual = [0] * inst.K
+    for k, known in enumerate(inst.side_info, 1):
+        for m in known:
+            if k in inst.side_info[m - 1]:
+                mutual[k - 1] |= 1 << (m - 1)
+    found = []
+    for n, store in enumerate(inst.sender_stores, 1):
+        stack = [((), _receiver_mask(store))]
+        while stack:
+            members, candidates = stack.pop()
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                k = low.bit_length()
+                grown = members + (k,)
+                found.append(ImplementableClique(frozenset(grown), n))
+                stack.append((grown, candidates & mutual[k - 1]))
     return sorted(found, key=_clique_key)
 
 
@@ -114,7 +133,7 @@ def _greedy_cover(
 
 
 def _receiver_mask(receivers: FrozenSet[int]) -> int:
-    """Receiver k as bit k-1."""
+    """Receiver (or sender) k as bit k-1."""
     mask = 0
     for k in receivers:
         mask |= 1 << (k - 1)
@@ -235,70 +254,67 @@ def _first_maximum_clique(adj: List[int], vertices: int) -> List[int]:
     adj[v] is the neighbour mask of bit v.  Branches run from the
     lowest candidate up and a clique replaces the best only when it is
     strictly larger, so the first maximum clique found is the first in
-    combinations order.
+    combinations order.  The search keeps its own stack, so a clique
+    may be as deep as the vertex count.
     """
     best: List[int] = []
     current: List[int] = []
-
-    def expand(candidates: int) -> None:
-        nonlocal best
-        while candidates:
-            if len(current) + candidates.bit_count() <= len(best):
-                return
-            low = candidates & -candidates
-            candidates ^= low
-            v = low.bit_length() - 1
+    # stack[i] holds the candidates left at depth i, below current[:i].
+    stack = [vertices]
+    while stack:
+        candidates = stack[-1]
+        if not candidates or len(current) + candidates.bit_count() <= len(best):
+            stack.pop()
+            if current:
+                current.pop()
+            continue
+        low = candidates & -candidates
+        stack[-1] = candidates ^ low
+        v = low.bit_length() - 1
+        below = stack[-1] & adj[v]
+        if below:
             current.append(v)
-            below = candidates & adj[v]
-            if below:
-                expand(below)
-            elif len(current) > len(best):
-                best = current.copy()
-            current.pop()
-
-    expand(vertices)
+            stack.append(below)
+        elif len(current) >= len(best):
+            best = current + [v]
     return best
 
 
 def complement_clique_lower(
     inst: Instance,
-) -> Tuple[int, Optional[ComplementCliqueWitness]]:
+) -> Tuple[int, ComplementCliqueWitness]:
     """Largest complement clique satisfying the per-sender hypothesis.
 
-    The returned value never exceeds the hyper-minrank.  A feasible
-    instance always admits a singleton witness, so 0 only appears for
-    degenerate inputs rejected elsewhere.  Among the largest cliques the
-    witness is the first in ascending vertex order; its host is the
-    first sender whose projection contains it.
+    The returned value never exceeds the hyper-minrank.  Receivers a and
+    b are compatible when they share one single holder and neither
+    knows the other's message; the module docstring derives this from
+    `hypergraph.complement`.  Every message has a holder, so every
+    receiver is a vertex and a singleton witness always exists.  Among
+    the largest cliques the witness is the first in ascending vertex
+    order; its host is the lowest sender storing its messages.
     """
     check_valid(inst)
-    pairs = sender_projection_pairs(complement(build(inst)))
     K = inst.K
-    loops = [[(k, k) in p for k in range(1, K + 1)] for p in pairs]
-    looped = 0
-    for k in range(1, K + 1):
-        if any(at[k - 1] for at in loops):
-            looped |= 1 << (k - 1)
-    adj = [0] * K
-    for a in range(1, K + 1):
-        for b in range(a + 1, K + 1):
-            if all(
-                at[a - 1] == at[b - 1]
-                and (not at[a - 1] or ((a, b) in p and (b, a) in p))
-                for at, p in zip(loops, pairs)
-            ):
-                adj[a - 1] |= 1 << (b - 1)
-                adj[b - 1] |= 1 << (a - 1)
-    clique = [v + 1 for v in _first_maximum_clique(adj, looped)]
-    if not clique:
-        return 0, None
-    first = clique[0] - 1
+    holders = [_receiver_mask(inst.stores_of(k)) for k in range(1, K + 1)]
+    # Bit j-1 of apart[k] is set when j != k+1 and neither of receivers
+    # j and k+1 knows the other's message.
+    apart = [~(1 << k) & ~_receiver_mask(known) for k, known in enumerate(inst.side_info)]
+    for k, known in enumerate(inst.side_info):
+        for m in known:
+            apart[m - 1] &= ~(1 << k)
+    alone = {}  # single holder mask -> the messages only it stores
+    for k, h in enumerate(holders):
+        if not h & (h - 1):
+            alone[h] = alone.get(h, 0) | 1 << k
+    adj = [alone.get(h, 0) & apart[k] for k, h in enumerate(holders)]
+    clique = [v + 1 for v in _first_maximum_clique(adj, (1 << K) - 1)]
+    hosts = holders[clique[0] - 1]
     witness = ComplementCliqueWitness(
         vertices=frozenset(clique),
-        host_sender=next(n for n, at in enumerate(loops, 1) if at[first]),
+        host_sender=(hosts & -hosts).bit_length(),
         edges=frozenset((a, b) for a in clique for b in clique),
         sender_conditions=tuple(
-            COND_CONTAINS if at[first] else COND_NO_LOOPS for at in loops
+            COND_CONTAINS if hosts >> n & 1 else COND_NO_LOOPS for n in range(inst.N)
         ),
     )
     return len(clique), witness

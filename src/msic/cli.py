@@ -204,9 +204,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             {"receivers": sorted(c.receivers), "sender": c.sender}
             for c in cover.cliques
         ],
-        "lower_witness": None
-        if witness is None
-        else {
+        "lower_witness": {
             "vertices": sorted(witness.vertices),
             "host_sender": witness.host_sender,
         },

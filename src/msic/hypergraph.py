@@ -263,6 +263,10 @@ def complement(hg: SideInfoHypergraph) -> SideInfoHypergraph:
     iff no edge of hg serves the pair through sender n: not cached at n,
     and no coupled edge for (k, k2) touches n.  Exclusions win whenever
     the two readings collide.  The result has no coupled edges.
+
+    This is the literal construction; `bounds.complement_clique_lower`
+    reads its closed form from bit masks instead, and the tests check
+    that bound against a scan over this complement.
     """
     inst = hg.inst
     blocked: Dict[Tuple[int, int], set] = {}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -183,8 +184,37 @@ def _scan_lower(inst):
     return 0, None
 
 
+def _fully_replicated(K: int, N: int, seed: int) -> Instance:
+    """Every sender stores every message; seeded side information."""
+    rng = random.Random(seed)
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=(frozenset(range(1, K + 1)),) * N,
+        side_info=tuple(
+            frozenset(m for m in range(1, K + 1) if m != k and rng.random() < 0.5)
+            for k in range(1, K + 1)
+        ),
+    )
+
+
+# Most messages here have two or more holders, the case that decides
+# whether two receivers share one single holder.
+REPLICATED = [
+    _fully_replicated(K, N, seed)
+    for K in range(1, 7)
+    for N in range(1, 5)
+    for seed in range(2)
+] + [
+    generate_random(K, 4, 0.8, r0, seed)
+    for K in range(2, 10)
+    for r0 in sorted({1, K - 1})
+    for seed in range(3)
+]
+
+
 def test_lower_matches_the_scan_on_the_suite():
-    for inst in random_suite(50):
+    for inst in random_suite(50) + REPLICATED:
         assert complement_clique_lower(inst) == _scan_lower(inst)
 
 
@@ -199,6 +229,42 @@ def test_lower_matches_the_scan_on_embedded_instances(K):
 @settings(max_examples=200, deadline=None)
 def test_lower_matches_the_scan(inst):
     assert complement_clique_lower(inst) == _scan_lower(inst)
+
+
+def _scan_cliques(inst):
+    """The subset scan the extension search replaced, as a referee."""
+    check_valid(inst)
+    found = set()
+    for n in range(1, inst.N + 1):
+        store = sorted(inst.sender_stores[n - 1])
+        for size in range(1, len(store) + 1):
+            for subset in combinations(store, size):
+                if all(
+                    k2 in inst.side_info[k - 1]
+                    for k in subset
+                    for k2 in subset
+                    if k2 != k
+                ):
+                    found.add(ImplementableClique(frozenset(subset), n))
+    return sorted(found, key=bounds._clique_key)
+
+
+def test_cliques_match_the_scan_on_the_suite():
+    for inst in random_suite(50) + REPLICATED:
+        assert enumerate_implementable_cliques(inst) == _scan_cliques(inst)
+
+
+@pytest.mark.parametrize("K", range(3, 13))
+def test_cliques_match_the_scan_on_embedded_instances(K):
+    for g in range(10):
+        inst = generate_embedded(K, g)
+        assert enumerate_implementable_cliques(inst) == _scan_cliques(inst)
+
+
+@given(instances(max_k=9, max_n=4))
+@settings(max_examples=200, deadline=None)
+def test_cliques_match_the_scan(inst):
+    assert enumerate_implementable_cliques(inst) == _scan_cliques(inst)
 
 
 def test_lower_at_large_k():

@@ -278,6 +278,23 @@ def test_python_dash_m_runs_the_cli(corpus_dir):
     assert json.loads(out)["results"]["lower"] == 1
 
 
+def test_bounds_on_a_large_sparse_instance(tmp_path):
+    # One sender, no side information: the store has 2**K subsets but
+    # only K implementable cliques, and every receiver is compatible
+    # with every other, so the lower bound's clique is K deep.
+    K = 1200
+    target = tmp_path / "sparse.json"
+    target.write_text(serialize_instance(Instance(
+        K=K, N=1, sender_stores=(frozenset(range(1, K + 1)),),
+        side_info=(frozenset(),) * K,
+    )))
+    rc, out, err = _fresh_process(["bounds", str(target), "--json"])
+    assert rc == 0, err
+    assert "Traceback" not in err
+    results = json.loads(out)["results"]
+    assert results["lower"] == results["upper"] == K
+
+
 def _in_process(capsys, argv):
     try:
         rc = main(argv)
