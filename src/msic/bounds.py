@@ -83,8 +83,13 @@ class ComplementCliqueWitness:
 
     vertices: FrozenSet[int]
     host_sender: int
-    edges: FrozenSet[Tuple[int, int]]
     sender_conditions: Tuple[str, ...]
+
+    @property
+    def edges(self) -> FrozenSet[Tuple[int, int]]:
+        """Every ordered pair of clique vertices, self-loops included:
+        |vertices|^2 pairs, built on each access."""
+        return frozenset((a, b) for a in self.vertices for b in self.vertices)
 
 
 def _clique_key(c: ImplementableClique) -> Tuple:
@@ -312,7 +317,6 @@ def complement_clique_lower(
     witness = ComplementCliqueWitness(
         vertices=frozenset(clique),
         host_sender=(hosts & -hosts).bit_length(),
-        edges=frozenset((a, b) for a in clique for b in clique),
         sender_conditions=tuple(
             COND_CONTAINS if hosts >> n & 1 else COND_NO_LOOPS for n in range(inst.N)
         ),

@@ -40,6 +40,20 @@ falls.  Entries into the probed last level are not keyed, nor entries
 into a level that only one path reaches (every level above it has one
 option), since its key could never repeat.
 
+With pruning, the search also cuts by the residual MAIS bound (after
+Bar-Yossef, Birk, Jayram and Kol, FOCS 2006).  Let S be a set of the
+receivers still to place that is acyclic in the side-information
+digraph (k -> m when k knows m), and r the rank of every basis row of
+every sender masked to the columns S.  Every completion adds at least
+|S| - r.  Proof: for k in S, k's option summed over the senders and
+masked to S has bit k and no bit of a message k does not know, so these
+sums form a unit triangular block on S; project the final row spaces
+onto S, then take the quotient by the current ones.  The cut is tested
+before an inner child's state key is looked up or stored, with no
+elimination while rank + |S| stays below the incumbent.  At the root
+the bound is the MAIS itself, so once the incumbent falls to it the
+search stops: only strict improvements are accepted.
+
 One search stores at most VISITED_STATE_CAP = 65,536 keys over all
 levels.  Past the cap keys are still looked up but no longer added, so
 the search stays exact and deterministic.  A key is an int of at most
@@ -94,6 +108,8 @@ SEARCH_CAP_ENV = "MSIC_SEARCH_CAP"
 PARALLEL_MIN_EXPONENT = 16
 # Visited-state keys one search stores, over all levels (see above).
 VISITED_STATE_CAP = 1 << 16
+# Nodes the search for one level's acyclic set may visit (`_acyclic_sets`).
+ACYCLIC_NODE_CAP = 1 << 12
 
 
 class SearchCapError(RuntimeError):
@@ -382,6 +398,99 @@ def _cheapest(
     return found
 
 
+def _acyclic_sets(knows: List[int]) -> List[int]:
+    """sets[c]: the mask of an acyclic set of the receivers of levels
+    c..K-1 in the side-information digraph; knows[k] has bit m set when
+    the receiver of level k knows message m + 1 (an arc k -> m).
+
+    Built from the last level up: a set one larger than sets[c + 1]
+    must contain c.  So level c takes sets[c + 1] plus c if acyclic,
+    else the first acyclic set of |sets[c + 1]| + 1 receivers from c on
+    in combinations order, else sets[c + 1].  Each set is a maximum one
+    unless a level's search would pass ACYCLIC_NODE_CAP nodes; that
+    level keeps sets[c + 1], still a valid bound, so the solve stays
+    exact and deterministic.  Adding u to an acyclic set closes a cycle
+    exactly when u reaches, inside the set, a receiver that knows u.
+    """
+    K = len(knows)
+    full = (1 << K) - 1
+    known_by = [0] * K
+    for k, known in enumerate(knows):
+        while known:
+            low = known & -known
+            known ^= low
+            known_by[low.bit_length() - 1] |= 1 << k
+
+    def closes_cycle(u: int, chosen: int) -> bool:
+        reach = frontier = knows[u] & chosen
+        while frontier and not reach & known_by[u]:
+            step = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                step |= knows[bit.bit_length() - 1]
+            frontier = step & chosen & ~reach
+            reach |= frontier
+        return bool(reach & known_by[u])
+
+    sets = [1 << (K - 1)] * K
+    for c in range(K - 2, -1, -1):
+        if not closes_cycle(c, sets[c + 1]):
+            sets[c] = sets[c + 1] | 1 << c
+            continue
+        target = sets[c + 1].bit_count() + 1
+        chosen = 1 << c
+        size = 1
+        # stack[i] holds the candidates left to follow members[i].
+        stack = [full ^ ((2 << c) - 1)]
+        members = [c]
+        nodes = 0
+        found = 0
+        while stack and nodes < ACYCLIC_NODE_CAP:
+            candidates = stack[-1]
+            if size + candidates.bit_count() < target:
+                stack.pop()
+                chosen ^= 1 << members.pop()
+                size -= 1
+                continue
+            nodes += 1
+            low = candidates & -candidates
+            stack[-1] = candidates ^ low
+            u = low.bit_length() - 1
+            if closes_cycle(u, chosen):
+                continue
+            chosen |= low
+            size += 1
+            if size == target:
+                found = chosen
+                break
+            members.append(u)
+            stack.append(stack[-1])
+        sets[c] = found or sets[c + 1]
+    return sets
+
+
+def _rank_above(pivots: List[List[int]], mask: int, limit: int) -> bool:
+    """Whether every basis row of every sender, masked to `mask`, spans
+    more than `limit` dimensions; the elimination stops once it does."""
+    basis = [0] * len(pivots[0])
+    rank = 0
+    for pv in pivots:
+        for row in filter(None, pv):
+            row &= mask
+            while row:
+                p = row.bit_length() - 1
+                v = basis[p]
+                if not v:
+                    basis[p] = row
+                    rank += 1
+                    if rank > limit:
+                        return True
+                    break
+                row ^= v
+    return False
+
+
 def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     """One greedy root-to-leaf descent, used only to seed the incumbent.
 
@@ -410,6 +519,11 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     return total
 
 
+class _RootBoundMet(Exception):
+    """The incumbent fell to the root acyclic-set bound: no later option
+    can improve on it."""
+
+
 def _search(
     tables: Sequence[_ReceiverTable],
     N: int,
@@ -435,13 +549,18 @@ def _search(
     in canonical order would end on, the first that adds the least rank
     below the room (`_cheapest`).
 
-    With pruning, an inner child is entered only if its state key is
-    new at its level (see the module docstring).  The key is an int: a
-    leading 1 bit, then for each sender in order its reduced row echelon
-    rows in pivot order, each as a 1 flag bit and K row bits, and a
-    closing 0 bit.  seen[c] holds the keys of level c, at most
-    VISITED_STATE_CAP of them over all levels.  Levels above
-    first_keyed have one path into them and are not keyed.
+    With pruning, an inner child is cut first when rank + |sets[child]|,
+    less the rank of the bases masked to sets[child] (`_rank_above`),
+    reaches the incumbent, and the probe raises `_RootBoundMet` once the
+    incumbent falls to |sets[0]| (see the module docstring).
+
+    With pruning, an inner child that survives the cut is entered only
+    if its state key is new at its level (see the module docstring).
+    The key is an int: a leading 1 bit, then for each sender in order
+    its reduced row echelon rows in pivot order, each as a 1 flag bit
+    and K row bits, and a closing 0 bit.  seen[c] holds the keys of
+    level c, at most VISITED_STATE_CAP of them over all levels.  Levels
+    above first_keyed have one path into them and are not keyed.
     """
     K = len(tables)
     last = K - 1
@@ -470,6 +589,13 @@ def _search(
             first_keyed = child
             break
         paths *= tables[child].count
+    if prune:
+        # a receiver knows the messages outside its table's parity
+        sets = _acyclic_sets([((1 << K) - 1) & ~table.parity for table in tables])
+        sizes = [s.bit_count() for s in sets]
+        root = sizes[0]
+    else:
+        root = -1
 
     def probe(indices: range, rank: int) -> None:
         nonlocal best, found, leaves
@@ -479,6 +605,8 @@ def _search(
             delta, combo[last] = cheapest
             best = rank + delta
             found = tuple(combo)
+            if best <= root:
+                raise _RootBoundMet
 
     def descend(level: int, indices: range, rank: int) -> None:
         nonlocal stored
@@ -520,6 +648,12 @@ def _search(
                 combo[level] = idx
                 if child == last:
                     probe(full[last], rank + added)
+                elif (
+                    prune
+                    and (slack := rank + added + sizes[child] - best) >= 0
+                    and not _rank_above(pivots, sets[child], slack)
+                ):
+                    pass  # cut: the residual acyclic-set bound reaches the incumbent
                 elif not prune or child < first_keyed:
                     descend(child, full[child], rank + added)
                 else:
@@ -543,10 +677,13 @@ def _search(
                 added -= 1
                 touched[added][slots[added]] = 0
 
-    if last == 0:
-        probe(first_range, 0)
-    else:
-        descend(0, first_range, 0)
+    try:
+        if last == 0:
+            probe(first_range, 0)
+        else:
+            descend(0, first_range, 0)
+    except _RootBoundMet:
+        pass
     if found is None:
         return None, None, leaves
     return best, found, leaves

@@ -177,7 +177,6 @@ def _scan_lower(inst):
             witness = ComplementCliqueWitness(
                 vertices=frozenset(vertices),
                 host_sender=hosts[0],
-                edges=edges,
                 sender_conditions=tuple(conditions),
             )
             return size, witness

@@ -8,8 +8,11 @@ expands itself (`_expand`), where the kernel stops at the least rank
 increase d* or scans nothing.  `_reference_search` adds the kernel's
 visited-state rule with its own state key, the set of every vector in
 each sender's span, and stores at most `cap` keys; it keys no level
-that only one path reaches.  With `cap` 0 it is the old enumerating
-kernel.  The current kernel must return the same greedy seed and the
+that only one path reaches.  Before the key is looked up it applies
+the kernel's residual acyclic-set cut, with sets of its own
+(`_reference_acyclic_sets`: combinations and Kahn's check on
+`inst.side_info`), and it stops once the incumbent falls to the root
+set's size.  The current kernel must return the same greedy seed and the
 same (value, option indices, leaves) triple on every instance, with and
 without pruning, over the whole first level and over contiguous
 first-level chunks, and under a patched key cap.
@@ -17,7 +20,9 @@ first-level chunks, and under a patched key cap.
 d* itself (`solver._least_increase`) and the option the kernel takes
 for it (`solver._cheapest`) are checked against full enumeration of a
 materialized table, in random search states reached by inserting a
-random prefix of options.
+random prefix of options.  The acyclic sets (`solver._acyclic_sets`)
+are checked against the referee's rule and, for their sizes, against
+the largest acyclic subset found by trying every subset.
 """
 
 from __future__ import annotations
@@ -25,16 +30,19 @@ from __future__ import annotations
 import math
 import random
 from functools import reduce
-from itertools import product
+from itertools import chain, combinations, product
 from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import corpus_instance, random_suite
+from conftest import corpus_instance, instances, random_suite
 from msic import solver
+from msic.bounds import complement_clique_lower
 from msic.gf2 import basis_add, gf2_rank
-from msic.instance import Instance, generate_random, serialize_instance
+from msic.instance import Instance, generate_embedded, generate_random, serialize_instance
+from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import (
     _build_tables,
     _cheapest,
@@ -42,6 +50,7 @@ from msic.solver import (
     _least_increase,
     _search,
     complexity_exponents,
+    hyperminrank,
 )
 
 
@@ -89,20 +98,55 @@ def _span(rows) -> FrozenSet[int]:
     return frozenset(span)
 
 
+def _acyclic(side_info: Sequence[FrozenSet[int]], receivers) -> bool:
+    """Kahn's check: strip the receivers that know no message left until
+    none is left (acyclic) or none can go (a cycle)."""
+    left = set(receivers)
+    while left:
+        sinks = {k for k in left if not side_info[k - 1] & left}
+        if not sinks:
+            return False
+        left -= sinks
+    return True
+
+
+def _reference_acyclic_sets(side_info: Sequence[FrozenSet[int]]) -> List[int]:
+    """The kernel's sets, by combinations: level c takes level c+1's set
+    plus receiver c+1 if acyclic, else the first acyclic set of receivers
+    c+1..K one larger than level c+1's, else level c+1's."""
+    K = len(side_info)
+    sets = [frozenset({K})] * K
+    for c in range(K - 2, -1, -1):
+        tries = chain([sets[c + 1] | {c + 1}], combinations(range(c + 1, K + 1), len(sets[c + 1]) + 1))
+        sets[c] = next((frozenset(s) for s in tries if _acyclic(side_info, s)), sets[c + 1])
+    return [sum(1 << (k - 1) for k in s) for s in sets]
+
+
 def _reference_search(
     tables: Sequence,
-    N: int,
+    inst: Instance,
     prune: bool,
     first_range: range,
     incumbent: int,
     cap: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
     K = len(tables)
+    N = inst.N
     all_rows = [_expand(table) for table in tables]
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     combo = [0] * K
     state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0, "stored": 0}
     seen: List[Set[Tuple[FrozenSet[int], ...]]] = [set() for _ in range(K)]
+    sets = _reference_acyclic_sets(inst.side_info)
+    root = sets[0].bit_count()
+
+    def cut(level: int) -> bool:
+        """Every completion adds at least |S| minus the rank of the bases
+        masked to S, for the acyclic set S of the receivers left."""
+        if level == K - 1:
+            return False  # the last level is probed, never cut
+        masked = [row & sets[level] for n in range(N) for row in pivots[n].values()]
+        return state["rank"] + sets[level].bit_count() - gf2_rank(masked) >= state["best"]
 
     def first_entry(level: int) -> bool:
         if level == K - 1:
@@ -121,6 +165,8 @@ def _reference_search(
     def descend(level: int, indices) -> None:
         last = level == K - 1
         for idx in indices:
+            if prune and not last and state["best"] <= root:
+                return  # nothing can beat the root bound
             rows = all_rows[level][idx]
             combo[level] = idx
             added = []
@@ -138,7 +184,9 @@ def _reference_search(
                 if state["rank"] < state["best"]:
                     state["best"] = state["rank"]
                     state["combo"] = tuple(combo)
-            elif not prune or (state["rank"] < state["best"] and first_entry(level + 1)):
+            elif not prune or (
+                state["rank"] < state["best"] and not cut(level + 1) and first_entry(level + 1)
+            ):
                 descend(level + 1, range(len(all_rows[level + 1])))
             state["rank"] -= delta
             for n, pivot in added:
@@ -187,22 +235,23 @@ def test_kernel_matches_reference(name, inst):
             for chunk in _chunks(first_count, workers):
                 got = _search(tables, inst.N, prune, chunk, incumbent)
                 want = _reference_search(
-                    tables, inst.N, prune, chunk, incumbent, solver.VISITED_STATE_CAP
+                    tables, inst, prune, chunk, incumbent, solver.VISITED_STATE_CAP
                 )
                 assert got == want, (serialize_instance(inst), prune, chunk)
 
 
 @pytest.mark.parametrize("name,inst", INSTANCES, ids=[name for name, _ in INSTANCES])
 def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
-    # cap 0 stores no key, so no subtree is skipped: the kernel before
-    # the visited-state rule; cap 3 fills the sets and then only looks up
+    # cap 0 stores no key, so no subtree is skipped as a repeat (the
+    # acyclic-set cut still applies); cap 3 fills the sets and then only
+    # looks up
     tables = _build_tables(inst)
     incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
     whole = range(tables[0].count)
     for cap in (0, 3):
         monkeypatch.setattr(solver, "VISITED_STATE_CAP", cap)
         got = _search(tables, inst.N, True, whole, incumbent)
-        want = _reference_search(tables, inst.N, True, whole, incumbent, cap)
+        want = _reference_search(tables, inst, True, whole, incumbent, cap)
         assert got == want, (serialize_instance(inst), cap)
 
 
@@ -298,3 +347,134 @@ def test_least_increase_matches_enumeration(name, inst):
                     want = first if least < room else None
                     got = _cheapest(pivots, table, indices, room)
                     assert got == want, (serialize_instance(inst), pivots, indices, room)
+
+
+# ---- the acyclic sets behind the residual cut ----
+
+
+def _knows(inst: Instance) -> List[int]:
+    return [sum(1 << (m - 1) for m in known) for known in inst.side_info]
+
+
+def _largest_acyclic(side_info: Sequence[FrozenSet[int]]) -> List[int]:
+    """largest[c]: the size of a maximum acyclic set of receivers c+1..K,
+    by Kahn's check on every subset."""
+    K = len(side_info)
+    largest = [0] * (K + 1)
+    for mask in range(1, 1 << K):
+        members = [k for k in range(1, K + 1) if mask >> (k - 1) & 1]
+        if _acyclic(side_info, members):
+            c = members[0] - 1
+            largest[c] = max(largest[c], len(members))
+    for c in range(K - 1, -1, -1):
+        largest[c] = max(largest[c], largest[c + 1])
+    return largest[:K]
+
+
+def _check_acyclic_sets(inst: Instance) -> None:
+    sets = solver._acyclic_sets(_knows(inst))
+    assert sets == _reference_acyclic_sets(inst.side_info), serialize_instance(inst)
+    assert [s.bit_count() for s in sets] == _largest_acyclic(inst.side_info)
+    for c, s in enumerate(sets):
+        assert s >> c << c == s  # receivers c+1..K only
+
+
+def _acyclic_instances():
+    out = [(f"suite{i}", inst) for i, inst in enumerate(random_suite(50))]
+    out += [(f"embedded{K}_{g}", generate_embedded(K, g)) for K in range(3, 13) for g in range(3)]
+    return out
+
+
+ACYCLIC_INSTANCES = _acyclic_instances()
+
+
+@pytest.mark.parametrize("name,inst", ACYCLIC_INSTANCES, ids=[n for n, _ in ACYCLIC_INSTANCES])
+def test_acyclic_sets_are_maximum(name, inst):
+    _check_acyclic_sets(inst)
+
+
+@given(instances(max_k=9, max_n=4))
+@settings(max_examples=150, deadline=None)
+def test_acyclic_sets_are_maximum_on_any_instance(inst):
+    _check_acyclic_sets(inst)
+
+
+def _oracle_instances():
+    out = [(f"suite{i}", inst) for i, inst in enumerate(random_suite(50))]
+    return out + [(name, corpus_instance(f"{name}.json")) for name in ("ex1", "ex2", "ex3")]
+
+
+ORACLE_INSTANCES = _oracle_instances()
+
+
+@pytest.mark.parametrize("name,inst", ORACLE_INSTANCES, ids=[n for n, _ in ORACLE_INSTANCES])
+def test_root_bound_sits_between_the_clique_bound_and_the_optimum(name, inst):
+    root = solver._acyclic_sets(_knows(inst))[0].bit_count()
+    optimum = optimal_linear_code_bruteforce(inst).optimal_length
+    assert complement_clique_lower(inst)[0] <= root <= optimum
+
+
+TEN_RECEIVERS = [(name, inst) for name, inst in INSTANCES if name.startswith("random10x4")]
+
+
+@pytest.mark.parametrize("name,inst", TEN_RECEIVERS, ids=[n for n, _ in TEN_RECEIVERS])
+def test_root_bound_never_exceeds_the_solver_value(name, inst):
+    root = solver._acyclic_sets(_knows(inst))[0].bit_count()
+    assert complement_clique_lower(inst)[0] <= root <= hyperminrank(inst).hyperminrank
+
+
+def _dense(K: int, N: int, seed: int) -> Instance:
+    """Message m stored at sender m mod N; each receiver knows each other
+    message with probability 1/2, so the side information has cycles."""
+    rng = random.Random(seed)
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=tuple(
+            frozenset(m for m in range(1, K + 1) if m % N == n % N) for n in range(1, N + 1)
+        ),
+        side_info=tuple(
+            frozenset(m for m in range(1, K + 1) if m != k and rng.random() < 0.5)
+            for k in range(1, K + 1)
+        ),
+    )
+
+
+def _capped_instances():
+    """(name, instance, its oracle optimum or None); every dense one
+    has E2 <= 14, so the unpruned search can referee it."""
+    out = [(name, inst, optimal_linear_code_bruteforce(inst).optimal_length)
+           for name, inst in ORACLE_INSTANCES]
+    for K, N in ((5, 1), (6, 2)):
+        for g in range(60):
+            inst = _dense(K, N, g)
+            if complexity_exponents(inst).e2 <= 14:
+                out.append((f"dense{K}x{N}_{g}", inst, None))
+    return out
+
+
+def test_capped_acyclic_sets_keep_the_solve_exact(monkeypatch):
+    # a capped level keeps the set of the level below: still acyclic,
+    # perhaps smaller, so the cut is weaker but the answer stays the same
+    smaller = {0: 0, 1: 0}
+    for name, inst, optimum in _capped_instances():
+        uncapped = solver._acyclic_sets(_knows(inst))
+        unpruned = None
+        if complexity_exponents(inst).e2 <= 14:  # the unpruned walk is 2**E2 leaves
+            unpruned = hyperminrank(inst, prune=False)
+        for cap in (0, 1):
+            monkeypatch.setattr(solver, "ACYCLIC_NODE_CAP", cap)
+            sets = solver._acyclic_sets(_knows(inst))
+            smaller[cap] += sets != uncapped
+            for c, s in enumerate(sets):
+                members = [k for k in range(c + 1, inst.K + 1) if s >> (k - 1) & 1]
+                assert len(members) == s.bit_count() and _acyclic(inst.side_info, members)
+            got = hyperminrank(inst)
+            assert optimum is None or got.hyperminrank == optimum, (name, cap)
+            if unpruned is not None:
+                assert (got.hyperminrank, got.witness) == (
+                    unpruned.hyperminrank,
+                    unpruned.witness,
+                ), (name, cap)
+        monkeypatch.undo()
+    assert min(smaller.values()) >= 10  # the cap bites on the dense side information
