@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
 parameters, 2 unreadable, undecodable, too deeply nested or malformed
 input or an unwritable output path, 3 invalid code, 4 resource cap
-(search exponent or oracle guard).
+(search exponent, oracle guard, or a search or exact cover nested past
+the recursion limit).
 Reports are deterministic for fixed inputs, flags and seeds, on any
 machine, except for the "timings" object.
 
@@ -155,6 +156,10 @@ def _solve_value(inst: Instance):
         raise CLIError(str(exc), EXIT_CAP) from None
     except SearchCapConfigError as exc:
         raise CLIError(str(exc), EXIT_PARSE) from None
+    except RecursionError:
+        raise CLIError(
+            f"search too deep: K={inst.K} levels pass the recursion limit", EXIT_CAP
+        ) from None
 
 
 # ---- subcommands ----
@@ -193,7 +198,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     mode = "greedy" if args.greedy else "exact"
     started = time.perf_counter()
-    upper, cover = clique_cover_upper(inst, mode=mode)
+    try:
+        upper, cover = clique_cover_upper(inst, mode=mode)
+    except RecursionError:
+        raise CLIError(
+            f"exact cover too deep: K={inst.K} receivers pass the recursion limit", EXIT_CAP
+        ) from None
     lower, witness = complement_clique_lower(inst)
     timings = {"bounds_seconds": time.perf_counter() - started}
     results = {

@@ -14,6 +14,8 @@ is a list of N bit matrices A_1..A_N, one K x K block per sender.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .gf2 import gf2_rank
@@ -206,49 +208,44 @@ def fits(A: CompositeAdjacency, inst: Instance) -> Optional[SubChoice]:
     """Witness selection whose sub-adjacency equals A, or None.
 
     This is the one map from a matrix back to a `SubChoice`; the solver
-    recovers its witness selection through it.  Classification per row
-    k: a diagonal 1 must be a demand edge, a 1 in a side-information
-    column must be a cached edge, and any other 1 joins the coupled
-    sender set of its column, which must then be an even subset of that
-    message's holders.
+    recovers its witness selection through it.  It checks the fitting
+    criterion in its parity form: every row of sender n lies inside n's
+    store (so each 1 is a demand, cached or coupled edge of n), and the
+    XOR of receiver k's rows over the senders, restricted to the
+    messages k does not know, is e_k (an odd sender set for the demand,
+    an even one for each unknown message).  Then the rows split into
+    the demand senders, the cached (message, sender) cells and the
+    coupled sender set of each unknown message.
     """
-    stats = derive_stats(inst)
-    if A.K != inst.K or A.N != inst.N or len(A.blocks) != inst.N:
+    K = inst.K
+    if (
+        A.K != K
+        or A.N != inst.N
+        or len(A.blocks) != inst.N
+        or any(len(block) != K for block in A.blocks)
+    ):
         return None
+    for block, store in zip(A.blocks, inst.sender_stores):
+        allowed = sum(1 << (m - 1) for m in store)
+        if any(row & ~allowed for row in block):
+            return None
     demand_sel: List[FrozenSet[int]] = []
     cached_sel: List[FrozenSet[Tuple[int, int]]] = []
     coupled_sel: List[Tuple[Tuple[int, FrozenSet[int]], ...]] = []
-    for k in range(1, inst.K + 1):
-        dset = set()
-        cset = set()
-        touched: Dict[int, set] = {}
-        for n in range(1, inst.N + 1):
-            row = A.blocks[n - 1][k - 1]
-            for k2 in range(1, inst.K + 1):
-                if not (row >> (k2 - 1)) & 1:
-                    continue
-                if k2 == k:
-                    if n not in stats.availability[k - 1]:
-                        return None
-                    dset.add(n)
-                elif k2 in inst.side_info[k - 1]:
-                    if n not in stats.availability[k2 - 1]:
-                        return None
-                    cset.add((k2, n))
-                else:
-                    if n not in stats.availability[k2 - 1]:
-                        return None
-                    touched.setdefault(k2, set()).add(n)
-        if len(dset) % 2 != 1:
+    for k in range(1, K + 1):
+        rows = [block[k - 1] for block in A.blocks]
+        known = inst.side_info[k - 1]
+        unknown = [m for m in range(1, K + 1) if m != k and m not in known]
+        parity = sum(1 << (m - 1) for m in unknown) | 1 << (k - 1)
+        if reduce(xor, rows) & parity != 1 << (k - 1):
             return None
-        for senders in touched.values():
-            if len(senders) % 2 != 0:
-                return None
-        demand_sel.append(frozenset(dset))
-        cached_sel.append(frozenset(cset))
-        coupled_sel.append(
-            tuple((k2, frozenset(t)) for k2, t in sorted(touched.items()))
-        )
+        senders = [
+            frozenset(n for n, row in enumerate(rows, start=1) if row >> (m - 1) & 1)
+            for m in range(1, K + 1)
+        ]
+        demand_sel.append(senders[k - 1])
+        cached_sel.append(frozenset((m, n) for m in known for n in senders[m - 1]))
+        coupled_sel.append(tuple((m, senders[m - 1]) for m in unknown if senders[m - 1]))
     return SubChoice(
         demand_senders=tuple(demand_sel),
         cached_edges=tuple(cached_sel),

@@ -62,15 +62,20 @@ set slot (CPython 3.11), so the sets take at most 4.5 MB at K = 10,
 N = 4 (b = 115) and 13.8 MB at K = N = 34 (b = 1225).
 
 The canonical order on selections lives here and nowhere else: in the
-option tables built by `_ReceiverTable`.  A table lists its options in
-ascending order of their mask keys (demand mask, cached mask, then one
-coupled mask per eligible message), and every key of one table has the
-same length, so an option's index orders exactly as its key does.
-Receiver 1 is the outermost loop, hence the tuple of option indices
-orders selections exactly as the concatenated keys would, depth-first
-order is the canonical order and the first minimizer found is the
-canonically smallest witness.  The witness selection is recovered from
-the witness matrix by `hypergraph.fits`.
+option tables built by `_ReceiverTable`.  It is the ascending order of
+each option's mask key (odd demand mask over the message's holders,
+cached mask over the (message, holder) cells, then one even coupled
+mask per unknown message), and every key of one table has the same
+length.  By the parity criterion above, a receiver's options are an
+affine space over GF(2), so a table is option 0 and one generator
+per free bit, in ascending significance: option idx is
+option 0 XOR the generators that idx's bits pick, and index order is
+key order (see `_ReceiverTable`).  Receiver 1 is the outermost loop,
+hence the tuple of option indices orders selections exactly as the
+concatenated keys would, depth-first order is the canonical order and
+the first minimizer found is the canonically smallest witness.  The
+witness selection is recovered from the witness matrix by
+`hypergraph.fits`, which checks the same parity criterion.
 """
 
 from __future__ import annotations
@@ -79,11 +84,9 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import islice, product
-from math import prod
-from operator import or_
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import xor
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 # Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
@@ -196,135 +199,93 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
 # ---- enumeration tables ----
 
 
-def _odd_masks(width: int) -> List[int]:
-    return [m for m in range(1 << width) if m.bit_count() % 2 == 1]
-
-
-def _even_masks(width: int) -> List[int]:
-    return [m for m in range(1 << width) if m.bit_count() % 2 == 0]
-
-
-# A group of options at one key position: its masks in ascending order
-# and the per-sender row delta of each.
-_MaskGroup = Tuple[List[int], List[Tuple[int, ...]]]
-
-
-def _mask_group(masks: List[int], bits: List[Tuple[int, int]], n_senders: int) -> _MaskGroup:
-    """Mask bit i ORs bits[i] = (sender index, row bit) into the delta."""
-    deltas = []
-    for mask in masks:
-        delta = [0] * n_senders
-        for i, (n, bit) in enumerate(bits):
-            if (mask >> i) & 1:
-                delta[n] |= bit
-        deltas.append(tuple(delta))
-    return masks, deltas
+def _xor(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(map(xor, a, b))
 
 
 class _ReceiverTable:
     """All selections of one receiver, in canonical ascending order.
 
-    Option i is a tuple of per-sender row contributions, `row(i)`, and
-    there are `count` options; keys[i] is its canonical (demand mask,
-    cached mask, coupled masks...) tuple.  Options are generated in
-    ascending key order, so index order is key order.
-
-    Each key position is one group of masks: the odd demand masks over
-    the message's holders, every cached mask over the (message, holder)
-    pairs of the side information, then the even holder sets of each
-    coupled message (shared by all receivers, see `_build_tables`).  The
-    options are expanded one group at a time with the options built so
-    far as the outer loop, which keeps ascending key order, so option i
-    is the mixed-radix number whose last digit indexes the last group.
-    No two groups set the same bit, so a mask adds its delta by OR.  A
-    group whose only mask is 0 (no side information, or a coupled
-    message with fewer than two holders) leaves the rows as they are;
-    `live` holds the other groups.
+    The fitting criterion makes them an affine space over GF(2): option
+    idx is `first` (option 0, the demand at its first holder) XOR
+    gens[i] for each set bit i of idx, and there are count = 2 **
+    len(gens) options.  An option and each generator are tuples of
+    per-sender rows.  The generators come in ascending significance,
+    groups last first: each unknown message from the last, then the
+    cached (message, holder) cells of the side information one by one,
+    then the demand.  A parity group (the demand or an unknown message,
+    holders h_0 < h_1 < ...) gives, for j >= 1, its bit at h_j together
+    with its bit at h_0: so the group's option j is its j-th odd
+    (demand) or even (unknown message) holder set in ascending mask
+    order, and index order is the order of the (demand mask, cached
+    mask, coupled masks...) keys (see the module docstring).
 
     `rows` lists every option, but only when the table is built with
-    `expand`; the search never stores the last table (see `_search`),
-    and `scan` expands any range of options lazily.  `keys` is built on
-    first access.  `demand` is the receiver's message bit and `parity`
-    (sigma) adds the bits of the messages it does not know: the
-    coordinates whose sums over the senders the fitting criterion fixes.
+    `expand`; the search never stores the last table (see `_search`).
+    `scan` walks any range of options lazily: idx + 1 is idx with its
+    t trailing ones cleared and bit t set, so each step XORs in
+    flips[t], the XOR of gens[:t + 1].  Options are numbered in
+    canonical order, so `keys` is range(count).  `demand` is the
+    receiver's message bit and `parity` (sigma) adds the bits of the
+    messages it does not know: the coordinates whose sums over the
+    senders the fitting criterion fixes.
     """
 
-    def __init__(
-        self,
-        inst: Instance,
-        holders: List[List[int]],
-        k: int,
-        unknown: List[int],
-        coupled: Dict[int, _MaskGroup],
-        expand: bool,
-    ):
-        demand = _mask_group(
-            _odd_masks(len(holders[k - 1])),
-            [(n - 1, 1 << (k - 1)) for n in holders[k - 1]],
-            inst.N,
-        )
-        cached_bits = [
-            (n - 1, 1 << (m - 1)) for m in sorted(inst.side_info[k - 1]) for n in holders[m - 1]
-        ]
-        cached = _mask_group(list(range(1 << len(cached_bits))), cached_bits, inst.N)
-        self.groups = [demand, cached, *(coupled[m] for m in unknown)]
-        self.live = [group for group in self.groups if group[0] != [0]]
-        self.count = prod(len(masks) for masks, _ in self.live)
+    def __init__(self, inst: Instance, holders: List[List[int]], k: int, expand: bool):
+        def cells(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
+            row = [0] * inst.N
+            for n, bit in pairs:
+                row[n - 1] ^= bit
+            return tuple(row)
+
+        def parity_group(m: int) -> List[Tuple[int, ...]]:
+            h0, *rest = holders[m - 1]
+            return [cells((h0, 1 << (m - 1)), (n, 1 << (m - 1))) for n in rest]
+
+        known = inst.side_info[k - 1]
+        unknown = [m for m in range(1, inst.K + 1) if m != k and m not in known]
+        # a message with one holder adds no generator: skip it without a call
+        coupled = [m for m in reversed(unknown) if len(holders[m - 1]) > 1]
+        gens = [gen for m in coupled for gen in parity_group(m)]
+        gens += [cells((n, 1 << (m - 1))) for m in sorted(known) for n in holders[m - 1]]
+        gens += parity_group(k)
         self.demand = 1 << (k - 1)
         self.parity = sum(1 << (m - 1) for m in unknown) | self.demand
-        self.zero = (0,) * inst.N
+        self.first = cells((holders[k - 1][0], self.demand))
+        self.gens = gens
+        self.flips = list(accumulate(gens, _xor))
+        self.count = 1 << len(gens)
+        self.keys = range(self.count)
         self.rows: Optional[List[Tuple[int, ...]]] = None
         if expand:
-            rows = [self.zero]
-            for _, deltas in self.live:
-                rows = [tuple(map(or_, row, delta)) for row in rows for delta in deltas]
-            self.rows = rows
-
-    @cached_property
-    def keys(self) -> List[Tuple[int, ...]]:
-        return list(product(*(masks for masks, _ in self.groups)))
+            self.rows = list(self.scan(self.keys))
 
     def row(self, idx: int) -> Tuple[int, ...]:
-        """Option idx: from `rows` when expanded, else decoded digit by
-        digit from the last group."""
+        """Option idx: from `rows` when expanded, else `first` XOR the
+        generators that idx's bits pick."""
         if self.rows is not None:
             return self.rows[idx]
-        row = self.zero
-        for masks, deltas in reversed(self.live):
-            idx, digit = divmod(idx, len(masks))
-            row = tuple(map(or_, row, deltas[digit]))
+        row = self.first
+        for i, gen in enumerate(self.gens):
+            if idx >> i & 1:
+                row = _xor(row, gen)
         return row
 
     def scan(self, indices: range) -> Iterator[Tuple[int, ...]]:
-        """The rows of options `indices` (a unit-step range), expanded
-        lazily in index order."""
-        rows: Iterator[Tuple[int, ...]] = iter([self.zero])
-        for _, deltas in self.live:
-            rows = _extend(rows, deltas)
-        return islice(rows, indices.start, indices.stop)
-
-
-def _extend(rows: Iterator[Tuple[int, ...]], deltas: List[Tuple[int, ...]]):
-    # a function, so that each generator keeps its own group's deltas
-    return (tuple(map(or_, row, delta)) for row in rows for delta in deltas)
+        """The rows of options `indices` (a unit-step range), in index
+        order, one tuple XOR per step."""
+        flips = self.flips
+        row = self.row(indices.start)
+        yield row
+        for idx in range(indices.start, indices.stop - 1):
+            row = tuple(map(xor, row, flips[(idx ^ (idx + 1)).bit_length() - 1]))
+            yield row
 
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
-    stats = derive_stats(inst)
-    holders = [sorted(a) for a in stats.availability]
-    messages = range(1, inst.K + 1)
-    unknown = [[m for m in messages if m != k and m not in inst.side_info[k - 1]] for k in messages]
-    # a coupled message's group does not depend on the receiver
-    coupled = {
-        m: _mask_group(
-            _even_masks(len(holders[m - 1])),
-            [(n - 1, 1 << (m - 1)) for n in holders[m - 1]],
-            inst.N,
-        )
-        for m in set().union(*unknown)
-    }
+    holders = [sorted(inst.stores_of(m)) for m in range(1, inst.K + 1)]
     # the last table is only probed (see `_search`), so it is not expanded
-    return [_ReceiverTable(inst, holders, k, unknown[k - 1], coupled, k < inst.K) for k in messages]
+    return [_ReceiverTable(inst, holders, k, k < inst.K) for k in range(1, inst.K + 1)]
 
 
 # ---- the search itself ----

@@ -295,6 +295,47 @@ def test_bounds_on_a_large_sparse_instance(tmp_path):
     assert results["lower"] == results["upper"] == K
 
 
+def _deep_instance(K: int, side_info):
+    return serialize_instance(Instance(
+        K=K, N=1, sender_stores=(frozenset(range(1, K + 1)),),
+        side_info=tuple(side_info) + (frozenset(),) * (K - len(side_info)),
+    ))
+
+
+@pytest.mark.parametrize("command,K,side_info,what", [
+    # one option per receiver, so the search descends all K levels
+    ("solve", 1200, (), "search"),
+    # 1,499 cliques in the greedy cover, one recursion level each
+    ("bounds", 1500, (frozenset({2}), frozenset({1})), "exact cover"),
+])
+def test_too_deep_instance_exits_4(tmp_path, command, K, side_info, what):
+    target = tmp_path / "deep.json"
+    target.write_text(_deep_instance(K, side_info))
+    rc, out, err = _fresh_process([command, str(target)])
+    assert rc == 4, err
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {what} too deep: K={K} ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("hyperminrank", ("solve", "ex1.json")),
+    ("hyperminrank", ("bounds", "ex1.json", "--with-exact-solve")),
+    ("clique_cover_upper", ("bounds", "ex1.json")),
+])
+def test_recursion_error_exits_4(corpus_dir, capsys, monkeypatch, target, argv):
+    def too_deep(inst, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(f"msic.cli.{target}", too_deep)
+    command, name, *flags = argv
+    rc, out, err = run(capsys, command, str(corpus_dir / name), *flags)
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: ") and "K=3 " in err and err.count("\n") == 1
+
+
 def _in_process(capsys, argv):
     try:
         rc = main(argv)

@@ -98,6 +98,21 @@ def test_fits_rejects_misplaced_entries(ex1):
     assert fits(bad, ex1) is None
 
 
+def test_fits_rejects_bits_past_k_and_short_blocks():
+    inst = Instance(
+        K=2,
+        N=1,
+        sender_stores=(frozenset({1, 2}),),
+        side_info=(frozenset(), frozenset()),
+    )
+    assert fits(CompositeAdjacency(K=2, N=1, blocks=((0b001, 0b010),)), inst) is not None
+    # a 1 in column 3, past K: no edge selects it
+    assert fits(CompositeAdjacency(K=2, N=1, blocks=((0b101, 0b010),)), inst) is None
+    # a block with fewer, or more, than K rows
+    assert fits(CompositeAdjacency(K=2, N=1, blocks=((0b001,),)), inst) is None
+    assert fits(CompositeAdjacency(K=2, N=1, blocks=((0b001, 0b010, 0b000),)), inst) is None
+
+
 def test_fits_accepts_even_coupled_pair(ex1):
     # receiver 1 takes demand at sender 1 plus x3 at both of senders 2 and 3;
     # receivers 2 and 3 take unit demands
@@ -108,37 +123,52 @@ def test_fits_accepts_even_coupled_pair(ex1):
     assert choice.demand_senders == (frozenset({1}), frozenset({1}), frozenset({2}))
 
 
+def _random_choice(inst, rng) -> SubChoice:
+    holders = [sorted(inst.stores_of(m)) for m in range(1, inst.K + 1)]
+    demand, cached, coupled = [], [], []
+    for k in range(1, inst.K + 1):
+        pick = rng.sample(holders[k - 1], rng.randrange(1, len(holders[k - 1]) + 1, 2))
+        demand.append(frozenset(pick))
+        edges = [(m, n) for m in sorted(inst.side_info[k - 1]) for n in holders[m - 1]]
+        cached.append(frozenset(e for e in edges if rng.random() < 0.5))
+        pairs = []
+        for k2 in range(1, inst.K + 1):
+            if k2 == k or k2 in inst.side_info[k - 1]:
+                continue
+            hs = holders[k2 - 1]
+            size = rng.randrange(0, len(hs) + 1, 2)
+            if size:
+                pairs.append((k2, frozenset(rng.sample(hs, size))))
+        coupled.append(tuple(pairs))
+    return SubChoice(
+        demand_senders=tuple(demand),
+        cached_edges=tuple(cached),
+        coupled_senders=tuple(coupled),
+    )
+
+
 def test_sub_adjacency_round_trip_random(ex2):
     rng = random.Random(7)
-    stats_holders = [sorted(ex2.stores_of(m)) for m in range(1, 7)]
     for _ in range(50):
-        demand, cached, coupled = [], [], []
-        for k in range(1, 7):
-            holders = stats_holders[k - 1]
-            pick = rng.sample(holders, rng.randrange(1, len(holders) + 1, 2))
-            demand.append(frozenset(pick))
-            edges = [
-                (m, n)
-                for m in sorted(ex2.side_info[k - 1])
-                for n in stats_holders[m - 1]
-            ]
-            cached.append(frozenset(e for e in edges if rng.random() < 0.5))
-            pairs = []
-            for k2 in range(1, 7):
-                if k2 == k or k2 in ex2.side_info[k - 1]:
-                    continue
-                hs = stats_holders[k2 - 1]
-                size = rng.randrange(0, len(hs) + 1, 2)
-                if size:
-                    pairs.append((k2, frozenset(rng.sample(hs, size))))
-            coupled.append(tuple(pairs))
-        choice = SubChoice(
-            demand_senders=tuple(demand),
-            cached_edges=tuple(cached),
-            coupled_senders=tuple(coupled),
-        )
+        choice = _random_choice(ex2, rng)
         A = sub_adjacency(choice, ex2)
         assert fits(A, ex2) == choice
+
+
+def test_fits_round_trips_perturbed_matrices(ex2):
+    # flip one bit of a fitting matrix, in any column up to K + 1: what
+    # fits then accepts, its selection rebuilds exactly
+    rng = random.Random(11)
+    accepted = 0
+    for _ in range(500):
+        blocks = [list(b) for b in sub_adjacency(_random_choice(ex2, rng), ex2).blocks]
+        blocks[rng.randrange(ex2.N)][rng.randrange(ex2.K)] ^= 1 << rng.randrange(ex2.K + 1)
+        A = CompositeAdjacency(K=ex2.K, N=ex2.N, blocks=tuple(map(tuple, blocks)))
+        choice = fits(A, ex2)
+        if choice is not None:
+            accepted += 1
+            assert sub_adjacency(choice, ex2) == A
+    assert accepted >= 20
 
 
 def test_complement_ex1_projections(ex1):

@@ -4,8 +4,10 @@
 kernel the list-indexed one replaced: every row goes through
 `gf2.basis_add`, the last level inserts and undoes like the others, and
 every option of every table is enumerated, over rows the referee
-expands itself (`_expand`), where the kernel stops at the least rank
-increase d* or scans nothing.  `_reference_search` adds the kernel's
+expands from the instance alone (`_expand`: the demand, cached and
+coupled mask groups, last group fastest), where the kernel stops at the
+least rank increase d* or scans nothing.  The same expansion checks the
+kernel's option tables.  `_reference_search` adds the kernel's
 visited-state rule with its own state key, the set of every vector in
 each sender's span, and stores at most `cap` keys; it keys no level
 that only one path reaches.  Before the key is looked up it applies
@@ -54,20 +56,48 @@ from msic.solver import (
 )
 
 
-def _expand(table) -> List[Tuple[int, ...]]:
-    """Every option of `table` in canonical order: one delta per group,
-    the groups' deltas ORed sender by sender, the last group fastest."""
-    return [
-        tuple(reduce(or_, column) for column in zip(*parts))
-        for parts in product(*(deltas for _, deltas in table.groups))
-    ]
+def _expand(inst: Instance) -> List[List[Tuple[int, ...]]]:
+    """Every option of every receiver in canonical order, from the
+    instance alone: the odd demand masks over the sorted holders, every
+    mask over the (message, holder) cells of the side information, then
+    the even masks over the holders of each unknown message; each
+    group's masks ascending, the last group fastest."""
+    holders = [sorted(inst.stores_of(m)) for m in range(1, inst.K + 1)]
+
+    def group(cells: List[Tuple[int, int]], parity: Optional[int]) -> List[Tuple[int, ...]]:
+        rows = []
+        for mask in range(1 << len(cells)):
+            if parity is None or mask.bit_count() % 2 == parity:
+                row = [0] * inst.N
+                for i, (n, m) in enumerate(cells):
+                    if mask >> i & 1:
+                        row[n - 1] |= 1 << (m - 1)
+                rows.append(tuple(row))
+        return rows
+
+    tables = []
+    for k in range(1, inst.K + 1):
+        known = sorted(inst.side_info[k - 1])
+        groups = [
+            group([(n, k) for n in holders[k - 1]], 1),
+            group([(n, m) for m in known for n in holders[m - 1]], None),
+        ]
+        groups += [
+            group([(n, m) for n in holders[m - 1]], 0)
+            for m in range(1, inst.K + 1)
+            if m != k and m not in known
+        ]
+        tables.append(
+            [tuple(reduce(or_, column) for column in zip(*parts)) for parts in product(*groups)]
+        )
+    return tables
 
 
-def _reference_greedy_dive(tables, N: int) -> int:
+def _reference_greedy_dive(inst: Instance) -> int:
+    N = inst.N
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     total = 0
-    for table in tables:
-        table_rows = _expand(table)
+    for table_rows in _expand(inst):
         best_idx = 0
         best_delta = None
         for idx, rows in enumerate(table_rows):
@@ -123,16 +153,15 @@ def _reference_acyclic_sets(side_info: Sequence[FrozenSet[int]]) -> List[int]:
 
 
 def _reference_search(
-    tables: Sequence,
     inst: Instance,
     prune: bool,
     first_range: range,
     incumbent: int,
     cap: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
-    K = len(tables)
+    K = inst.K
     N = inst.N
-    all_rows = [_expand(table) for table in tables]
+    all_rows = _expand(inst)
     pivots: List[Dict[int, int]] = [dict() for _ in range(N)]
     combo = [0] * K
     state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0, "stored": 0}
@@ -216,7 +245,8 @@ def test_referee_covers_six_ten_receiver_instances():
 
 
 def _chunks(first_count: int, workers: int) -> List[range]:
-    """The contiguous first-level chunks `hyperminrank` forks for `workers`."""
+    """`workers` contiguous chunks of the first level: `_search` takes
+    any first-level range, and must match the referee on each chunk."""
     edges = [round(i * first_count / workers) for i in range(workers + 1)]
     return [range(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
@@ -225,7 +255,7 @@ def _chunks(first_count: int, workers: int) -> List[range]:
 def test_kernel_matches_reference(name, inst):
     tables = _build_tables(inst)
     seed = _greedy_dive(tables, inst.N)
-    assert seed == _reference_greedy_dive(tables, inst.N)
+    assert seed == _reference_greedy_dive(inst)
     runs = [(True, min(seed, inst.K) + 1)]
     if complexity_exponents(inst).e2 <= 14:
         runs.append((False, inst.K + 1))
@@ -235,7 +265,7 @@ def test_kernel_matches_reference(name, inst):
             for chunk in _chunks(first_count, workers):
                 got = _search(tables, inst.N, prune, chunk, incumbent)
                 want = _reference_search(
-                    tables, inst, prune, chunk, incumbent, solver.VISITED_STATE_CAP
+                    inst, prune, chunk, incumbent, solver.VISITED_STATE_CAP
                 )
                 assert got == want, (serialize_instance(inst), prune, chunk)
 
@@ -251,7 +281,7 @@ def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
     for cap in (0, 3):
         monkeypatch.setattr(solver, "VISITED_STATE_CAP", cap)
         got = _search(tables, inst.N, True, whole, incumbent)
-        want = _reference_search(tables, inst, True, whole, incumbent, cap)
+        want = _reference_search(inst, True, whole, incumbent, cap)
         assert got == want, (serialize_instance(inst), cap)
 
 
@@ -312,17 +342,14 @@ def _random_state(expanded: List[List[Tuple[int, ...]]], N: int, rng: random.Ran
 @pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
 def test_tables_match_the_referee_expansion(name, inst):
     tables = _build_tables(inst)
-    for k, table in enumerate(tables, start=1):
-        rows = _expand(table)
+    for k, (table, rows) in enumerate(zip(tables, _expand(inst)), start=1):
         assert table.count == len(rows)
         assert table.rows == (rows if k < inst.K else None)  # the last is never stored
         assert [table.row(i) for i in range(table.count)] == rows
         assert list(table.scan(range(table.count))) == rows
         lo, hi = table.count // 3, 2 * table.count // 3 + 1
         assert list(table.scan(range(lo, hi))) == rows[lo:hi]
-        assert "keys" not in vars(table)  # built on first access only
-        assert len(table.keys) == table.count
-        assert table.keys == sorted(table.keys)
+        assert table.keys == range(table.count)
 
 
 @pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
@@ -330,7 +357,7 @@ def test_least_increase_matches_enumeration(name, inst):
     # d* and the option the kernel takes for it, in random search states,
     # against every option of the materialized table
     tables = _build_tables(inst)
-    expanded = [_expand(table) for table in tables]
+    expanded = _expand(inst)
     rng = random.Random(name)
     for _ in range(8):
         pivots = _random_state(expanded, inst.N, rng)
