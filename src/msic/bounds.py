@@ -8,8 +8,10 @@ smallest partition is found by branch and bound on the lowest
 uncovered receiver, over bit masks: receiver k is bit k-1 of the
 uncovered set and of each clique, a clique fits when its mask lies
 inside the uncovered one, and cliques with the same receivers are
-tested once.  Past EXACT_NODE_CAP search nodes it stops and keeps the
-best partition found, flagged inexact.
+tested once.  A subtree searched without improving the partition is
+not searched again: its node count is reused.  Past EXACT_NODE_CAP
+search nodes it stops and keeps the best partition found, flagged
+inexact.
 
 Lower bound: in the complement hypergraph, a vertex set that forms a
 full directed clique with self-loops inside some sender's projection,
@@ -36,7 +38,7 @@ ascending vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .codec import LinearCode, verify_code
 from .instance import Instance, check_valid
@@ -157,6 +159,14 @@ def _exact_cover(
     counts as a node toward EXACT_NODE_CAP before it is tested, as in a
     search that enters each child, so a child cut at once costs no call.
     Returns the best partition found and whether the cap tripped.
+
+    A subtree reads only its uncovered set and its slack, best_m less
+    depth, keyed as (slack << K) | uncovered.  A call that returns
+    uncapped without improving best stores the nodes it added; a later
+    call with the same key adds them and returns.  Walked again it would
+    count the same nodes and find nothing better, so the cap trips at
+    the same node with the same partition.  One key per completed call
+    keeps at most EXACT_NODE_CAP keys.
     """
     max_size = max(len(c.receivers) for c in cliques)
     cap = EXACT_NODE_CAP
@@ -180,11 +190,17 @@ def _exact_cover(
     full = (1 << K) - 1
     nodes = 1
     parts: List[ImplementableClique] = []
+    searched: Dict[int, int] = {}
 
     def rec(uncovered: int) -> bool:
         """Branch on the lowest uncovered receiver; True once capped."""
         nonlocal best, best_m, nodes
         depth = len(parts) + 1
+        key = (best_m - depth) << K | uncovered
+        if key in searched:
+            nodes += searched[key]
+            return nodes > cap
+        start = nodes
         left = uncovered.bit_count()
         covered = full ^ uncovered
         children = iter(by_low[(uncovered & -uncovered).bit_length() - 1])
@@ -197,7 +213,9 @@ def _exact_cover(
                 nodes += len(same) + sum(
                     len(g) for m, _, g in children if not m & covered
                 )
-                return nodes > cap
+                if nodes > cap:
+                    return True
+                break
             for c in same:
                 nodes += 1
                 if nodes > cap:
@@ -211,6 +229,8 @@ def _exact_cover(
                     if rec(uncovered ^ mask):
                         return True
                     parts.pop()
+        if key >> K == best_m - depth:
+            searched[key] = nodes - start
         return False
 
     capped = rec(full)

@@ -161,16 +161,15 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
     check_valid(inst)
     stats = derive_stats(inst)
     d = stats.replication
+    extra = [max(dm - 1, 0) for dm in d]
+    total_extra = sum(extra)
     e1 = 0
     e2 = 0
     for k in range(1, inst.K + 1):
         known = inst.side_info[k - 1]
-        shared = max(d[k - 1] - 1, 0)
-        unknown = sum(
-            max(d[k2 - 1] - 1, 0)
-            for k2 in range(1, inst.K + 1)
-            if k2 != k and k2 not in known
-        )
+        shared = extra[k - 1]
+        # The extra holders of every message k neither demands nor knows.
+        unknown = total_extra - shared - sum(extra[m - 1] for m in known)
         e1 += shared + len(known) + unknown
         e2 += shared + sum(d[m - 1] for m in known) + unknown
     e3 = sum((len(s) ** 2 + len(s)) // 2 for s in inst.sender_stores)

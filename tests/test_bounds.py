@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import instances, random_suite
 from msic import bounds
@@ -336,11 +338,13 @@ def _referee_cover(
 # three.  Only embedded9-g1 (8,397 nodes) is that large.
 SWEEP_NODES = 1_100
 
+# In the replicated instances many senders serve one receiver set, so
+# the cover meets the same subtree again and again.
 SWEPT = [(f"suite{i}", inst) for i, inst in enumerate(random_suite(50))] + [
     (f"embedded{K}-g{g}", generate_embedded(K, g))
     for K in range(2, 10)
     for g in range(10)
-]
+] + [(f"replicated{i}", inst) for i, inst in enumerate(REPLICATED)]
 
 
 def _node_total(args, monkeypatch):
@@ -370,13 +374,63 @@ def test_cover_matches_the_referee_at_every_cap(inst, monkeypatch):
         assert bounds._exact_cover(*args) == _referee_cover(*args), cap
 
 
-@pytest.mark.parametrize("K, seed", [(13, 14), (14, 36)])
+@given(instances(max_k=9, max_n=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cover_matches_the_referee_at_a_drawn_cap(inst, data):
+    cliques = enumerate_implementable_cliques(inst)
+    args = (cliques, inst.K, bounds._greedy_cover(cliques, inst.K))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cap = data.draw(st.integers(0, _node_total(args, monkeypatch) + 1), label="cap")
+        monkeypatch.setattr(bounds, "EXACT_NODE_CAP", cap)
+        assert bounds._exact_cover(*args) == _referee_cover(*args)
+
+
+@pytest.mark.parametrize("K, seed", [(13, 4), (13, 14), (14, 21), (14, 36)])
 def test_capped_cover_matches_the_referee(K, seed):
     cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
     args = (cliques, K, bounds._greedy_cover(cliques, K))
     cover, capped = bounds._exact_cover(*args)
     assert capped
     assert (cover, capped) == _referee_cover(*args)
+
+
+@pytest.mark.parametrize("K, seed", [(12, 12), (13, 83)])
+def test_cover_matches_the_referee_where_a_subtree_improves_twice(K, seed):
+    # A receiver set whose first search improved the cover comes up again
+    # one part higher, with the same slack, and improves it again; a
+    # count stored after an improvement would skip the better partition.
+    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
+    args = (cliques, K, bounds._greedy_cover(cliques, K))
+    assert bounds._exact_cover(*args) == _referee_cover(*args)
+
+
+def _search_calls(args) -> int:
+    """Calls of `_exact_cover`'s nested `rec`, counted by a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        bounds._exact_cover(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "K, seed, calls", [(13, 4, 1_205), (13, 14, 1_066), (14, 21, 1_280), (14, 36, 935)]
+)
+def test_capped_cover_reuses_searched_subtrees(K, seed, calls):
+    # Walked in full, the search to the cap makes 57,389 calls on
+    # embedded13-g14; reusing the node count of every subtree searched
+    # without improvement leaves these.
+    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
+    assert _search_calls((cliques, K, bounds._greedy_cover(cliques, K))) == calls
 
 
 def test_capped_cover_is_flagged_inexact():

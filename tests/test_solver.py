@@ -12,11 +12,13 @@ from msic.hypergraph import fits, sub_adjacency
 from msic.instance import (
     Instance,
     InstanceValidationError,
+    check_valid,
     derive_stats,
     serialize_instance,
 )
 from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import (
+    ComplexityProfile,
     SearchCapError,
     complexity_exponents,
     hyperminrank,
@@ -287,6 +289,58 @@ def test_embedded_exponent_present_for_embedded_shape():
         (d - 1) * (3 - d) for d in stats.replication
     )
     assert profile.e_embedded == expected
+
+
+def _referee_exponents(inst: Instance) -> ComplexityProfile:
+    """The K^2 scan over every other message that the running totals
+    replaced, as a referee."""
+    check_valid(inst)
+    stats = derive_stats(inst)
+    d = stats.replication
+    e1 = 0
+    e2 = 0
+    for k in range(1, inst.K + 1):
+        known = inst.side_info[k - 1]
+        shared = max(d[k - 1] - 1, 0)
+        unknown = sum(
+            max(d[k2 - 1] - 1, 0)
+            for k2 in range(1, inst.K + 1)
+            if k2 != k and k2 not in known
+        )
+        e1 += shared + len(known) + unknown
+        e2 += shared + sum(d[m - 1] for m in known) + unknown
+    e3 = sum((len(s) ** 2 + len(s)) // 2 for s in inst.sender_stores)
+    embedded = inst.K == inst.N and all(
+        inst.sender_stores[n - 1] == inst.side_info[n - 1] for n in range(1, inst.N + 1)
+    )
+    e_embedded = None
+    if embedded:
+        e_embedded = stats.total_load + sum(
+            (dm - 1) * (inst.K - dm) for dm in d
+        )
+    lhs = Fraction(stats.r0, inst.K) + stats.delta
+    rhs = (1 + stats.delta) ** 2 / Fraction(2 * inst.N)
+    return ComplexityProfile(
+        search_space=1 << e1,
+        e1=e1,
+        e2=e2,
+        e3=e3,
+        e_embedded=e_embedded,
+        threshold_holds=lhs <= rhs,
+        threshold_lhs=lhs,
+        threshold_rhs=rhs,
+    )
+
+
+def test_exponents_match_the_scan_on_the_suite():
+    for inst in random_suite(50):
+        assert complexity_exponents(inst) == _referee_exponents(inst)
+
+
+@given(instances(max_k=9, max_n=4))
+@settings(max_examples=200, deadline=None)
+def test_exponents_match_the_scan(inst):
+    assert complexity_exponents(inst) == _referee_exponents(inst)
 
 
 # ---- single-sender classical minimum rank ----
