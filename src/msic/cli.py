@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
 parameters, 2 unreadable, undecodable, too deeply nested or malformed
-input or an unwritable output path, 3 invalid code, 4 resource cap
-(search exponent, oracle guard, or a search or exact cover nested past
-the recursion limit).
+input, an unwritable output path or a closed standard output, 3 invalid
+code, 4 resource cap (search exponent, oracle guard, or a search or
+exact cover nested past the recursion limit).
 Reports are deterministic for fixed inputs, flags and seeds, on any
 machine, except for the "timings" object.
 
@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -471,7 +472,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def cli_entrypoint() -> None:
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at shutdown; devnull takes what is
+        # left, so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ rank updates incrementally.  A basis is a list of K pivot slots indexed
 by bit position; rows are inserted in place and undone by zeroing the
 slot they filled.
 
-The last receiver's options are never inserted, nor even stored.  The
+The last receiver's options are never inserted.  The
 fitting criterion ties the senders together only through parities: the
 demand must reach an odd number of senders and each message the
 receiver does not know an even number, so that the signals cancel.  So
@@ -60,6 +60,13 @@ the search stays exact and deterministic.  A key is an int of at most
 b = 1 + K(K + 1) + N bits and costs about 56 + b / 7.5 bytes with its
 set slot (CPython 3.11), so the sets take at most 4.5 MB at K = 10,
 N = 4 (b = 115) and 13.8 MB at K = N = 34 (b = 1225).
+
+No table stores its options.  The search scans a level lazily, and
+keeps the level's rows for its later entries only once a loop over
+the whole level has run to its end.  A level that only one path
+reaches is entered once and never kept.  So the rows one search
+stores never exceed the options it has scanned: its memory is bounded
+by its work, not by the size of its tables.
 
 The canonical order on selections lives here and nowhere else: in the
 option tables built by `_ReceiverTable`.  It is the ascending order of
@@ -219,18 +226,17 @@ class _ReceiverTable:
     order, and index order is the order of the (demand mask, cached
     mask, coupled masks...) keys (see the module docstring).
 
-    `rows` lists every option, but only when the table is built with
-    `expand`; the search never stores the last table (see `_search`).
-    `scan` walks any range of options lazily: idx + 1 is idx with its
-    t trailing ones cleared and bit t set, so each step XORs in
-    flips[t], the XOR of gens[:t + 1].  Options are numbered in
-    canonical order, so `keys` is range(count).  `demand` is the
-    receiver's message bit and `parity` (sigma) adds the bits of the
-    messages it does not know: the coordinates whose sums over the
-    senders the fitting criterion fixes.
+    The table stores no option.  `row` computes any one, and `scan`
+    walks any range of them lazily: idx + 1 is idx with its t trailing
+    ones cleared and bit t set, so each step XORs in flips[t], the XOR
+    of gens[:t + 1].  Only the search keeps rows (see `_search`).
+    Options are numbered in canonical order, so `keys` is
+    range(count).  `demand` is the receiver's message bit and `parity`
+    (sigma) adds the bits of the messages it does not know: the
+    coordinates whose sums over the senders the fitting criterion fixes.
     """
 
-    def __init__(self, inst: Instance, holders: List[List[int]], k: int, expand: bool):
+    def __init__(self, inst: Instance, holders: List[List[int]], k: int):
         def cells(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
             row = [0] * inst.N
             for n, bit in pairs:
@@ -255,15 +261,10 @@ class _ReceiverTable:
         self.flips = list(accumulate(gens, _xor))
         self.count = 1 << len(gens)
         self.keys = range(self.count)
-        self.rows: Optional[List[Tuple[int, ...]]] = None
-        if expand:
-            self.rows = list(self.scan(self.keys))
 
     def row(self, idx: int) -> Tuple[int, ...]:
-        """Option idx: from `rows` when expanded, else `first` XOR the
-        generators that idx's bits pick."""
-        if self.rows is not None:
-            return self.rows[idx]
+        """Option idx, computed, not stored: `first` XOR the generators
+        that idx's bits pick."""
         row = self.first
         for i, gen in enumerate(self.gens):
             if idx >> i & 1:
@@ -283,8 +284,7 @@ class _ReceiverTable:
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
     holders = [sorted(inst.stores_of(m)) for m in range(1, inst.K + 1)]
-    # the last table is only probed (see `_search`), so it is not expanded
-    return [_ReceiverTable(inst, holders, k, k < inst.K) for k in range(1, inst.K + 1)]
+    return [_ReceiverTable(inst, holders, k) for k in range(1, inst.K + 1)]
 
 
 # ---- the search itself ----
@@ -521,10 +521,15 @@ def _search(
     and K row bits, and a closing 0 bit.  seen[c] holds the keys of
     level c, at most VISITED_STATE_CAP of them over all levels.  Levels
     above first_keyed have one path into them and are not keyed.
+
+    A level's options are scanned lazily (`_ReceiverTable.scan`) until
+    a loop over the level runs to its end without returning early; then
+    kept[level] stores the level's rows, and later entries read them.
+    Only levels from first_keyed on are kept: the others are entered at
+    most once.  So the rows kept never exceed the options scanned.
     """
     K = len(tables)
     last = K - 1
-    all_rows = [table.rows for table in tables]
     last_table = tables[last]
     full = [range(table.count) for table in tables]
     pivots = [[0] * K for _ in range(N)]
@@ -540,6 +545,7 @@ def _search(
     width = K + 1
     seen = [set() for _ in range(K)]
     stored = 0
+    kept: List[Optional[List[Tuple[int, ...]]]] = [None] * K
     # A level with one path into it is entered at most once, so its key
     # could never match: keying starts at the first level with more.
     first_keyed = last
@@ -570,18 +576,18 @@ def _search(
 
     def descend(level: int, indices: range, rank: int) -> None:
         nonlocal stored
-        rows_of = all_rows[level]
+        table = tables[level]
         touched = undo_pivots[level]
         slots = undo_slots[level]
         child = level + 1
         visited = seen[child]
         floor = None  # d* of this level, found once the room falls to 1
-        for idx in indices:
+        for idx, rows in zip(indices, kept[level] or table.scan(indices)):
             if prune:
                 room = best - rank
                 if room == 1:
                     if floor is None:
-                        floor = _least_increase(pivots, tables[level])
+                        floor = _least_increase(pivots, table)
                     if floor:
                         return  # every option left adds one: all are cut
                 elif room <= 0:
@@ -589,7 +595,7 @@ def _search(
             else:
                 room = unlimited
             added = 0
-            for pv, row in zip(pivots, rows_of[idx]):
+            for pv, row in zip(pivots, rows):
                 while row:
                     p = row.bit_length() - 1
                     v = pv[p]
@@ -636,6 +642,8 @@ def _search(
             while added:
                 added -= 1
                 touched[added][slots[added]] = 0
+        if level >= first_keyed and kept[level] is None:
+            kept[level] = list(table.scan(full[level]))
 
     try:
         if last == 0:
@@ -687,7 +695,7 @@ def hyperminrank(
     started = time.perf_counter()
     tables = _build_tables(inst)
     if prune:
-        incumbent = min(_greedy_dive(tables, inst.N), inst.K) + 1
+        incumbent = _greedy_dive(tables, inst.N) + 1
     else:
         incumbent = inst.K + 1
     value, combo, leaves = _search(tables, inst.N, prune, range(tables[0].count), incumbent)

@@ -26,6 +26,17 @@ def corpus_instance(name: str) -> Instance:
     return parse_instance(corpus_text(name))
 
 
+def fully_replicated(K: int, N: int) -> Instance:
+    """Every sender stores every message; each receiver knows all others."""
+    everything = frozenset(range(1, K + 1))
+    return Instance(
+        K=K,
+        N=N,
+        sender_stores=(everything,) * N,
+        side_info=tuple(everything - {k} for k in range(1, K + 1)),
+    )
+
+
 def random_suite(count: int = 50) -> List[Instance]:
     """The seeded K<=4, N<=3, delta<=0.5, r0<=2 cross-validation suite."""
     out = []

@@ -260,16 +260,32 @@ def test_bounds_reports_a_capped_cover(capsys, tmp_path):
     assert rep["results"]["cover_exact"] is False
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, stdout=subprocess.PIPE):
     """Run `python -m msic *argv` in a new interpreter."""
     env = dict(os.environ)
     src = str(Path(msic.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "msic", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "ex1.json"], ["bounds", "ex1.json", "--json"], ["complexity", "ex1.json"],
+])
+def test_closed_stdout_exits_2(corpus_dir, argv):
+    # The pipe's read end is closed before the process starts, so its
+    # first write to stdout fails.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        rc, _, err = _fresh_process([argv[0], str(corpus_dir / argv[1]), *argv[2:]], write)
+    finally:
+        os.close(write)
+    assert rc == 2
+    assert err.splitlines() == ["error: cannot write standard output: [Errno 32] Broken pipe"]
 
 
 def test_python_dash_m_runs_the_cli(corpus_dir):

@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_instance, instances, random_suite
+from conftest import corpus_instance, fully_replicated, instances, random_suite
 from msic import solver
 from msic.bounds import complement_clique_lower
 from msic.gf2 import basis_add, gf2_rank
@@ -288,20 +288,9 @@ def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
 # ---- the option tables and d* against full enumeration ----
 
 
-def _full(K: int, N: int) -> Instance:
-    """Every sender stores every message; each receiver knows all others."""
-    everything = frozenset(range(1, K + 1))
-    return Instance(
-        K=K,
-        N=N,
-        sender_stores=(everything,) * N,
-        side_info=tuple(everything - {k} for k in range(1, K + 1)),
-    )
-
-
 def _state_instances():
     out = list(INSTANCES)
-    out += [(f"full{K}_{N}", _full(K, N)) for K, N in ((2, 3), (2, 4), (3, 2), (3, 3))]
+    out += [(f"full{K}_{N}", fully_replicated(K, N)) for K, N in ((2, 3), (2, 4), (3, 2), (3, 3))]
     for g in range(30):
         inst = generate_random(5, 4, 0.8, 3, seed=g)
         if complexity_exponents(inst).e2 <= 20:
@@ -342,9 +331,8 @@ def _random_state(expanded: List[List[Tuple[int, ...]]], N: int, rng: random.Ran
 @pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
 def test_tables_match_the_referee_expansion(name, inst):
     tables = _build_tables(inst)
-    for k, (table, rows) in enumerate(zip(tables, _expand(inst)), start=1):
+    for table, rows in zip(tables, _expand(inst)):
         assert table.count == len(rows)
-        assert table.rows == (rows if k < inst.K else None)  # the last is never stored
         assert [table.row(i) for i in range(table.count)] == rows
         assert list(table.scan(range(table.count))) == rows
         lo, hi = table.count // 3, 2 * table.count // 3 + 1

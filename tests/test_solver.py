@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import all_choices, instances, random_suite
+from conftest import all_choices, fully_replicated, instances, random_suite
 from msic.codec import code_from_fitting, verify_code
 from msic.hypergraph import fits, sub_adjacency
 from msic.instance import (
@@ -20,6 +21,7 @@ from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import (
     ComplexityProfile,
     SearchCapError,
+    _build_tables,
     complexity_exponents,
     hyperminrank,
     minrank_single,
@@ -70,7 +72,7 @@ def test_no_pruning_matches_advertised_size_without_replicated_side_info():
 
 
 def test_single_receiver_solves_without_an_inner_level():
-    # K = 1: the only table is the probed last one, never expanded
+    # K = 1: the only table is the probed last one
     inst = Instance(
         K=1, N=3, sender_stores=(frozenset({1}),) * 3, side_info=(frozenset(),)
     )
@@ -98,6 +100,33 @@ def test_unpruned_wide_solve_counts_every_last_level_option():
     fast = hyperminrank(inst)
     assert fast.witness == slow.witness
     assert fast.candidates_examined == 1024
+
+
+def _traced_peak(run):
+    """(run(), the peak bytes tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tables_store_no_rows():
+    # two 2**15-option tables: expanded, their rows alone take megabytes
+    tables, peak = _traced_peak(lambda: _build_tables(fully_replicated(2, 8)))
+    assert [table.count for table in tables] == [1 << 15] * 2
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("K,N", [(2, 14), (3, 10)])
+def test_huge_tables_with_few_visits_solve_in_little_memory(K, N):
+    # inner tables of 2**27 and 2**29 options, of which the search visits
+    # a few: it keeps no level's rows, since it scans none whole
+    report, peak = _traced_peak(lambda: hyperminrank(fully_replicated(K, N)))
+    assert report.hyperminrank == 1
+    assert report.candidates_examined == {2: 1 << 28, 3: 1 << 31}[K]
+    assert peak < 1 << 20
 
 
 def test_pruned_and_unpruned_agree():
