@@ -38,7 +38,7 @@ ascending vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .codec import LinearCode, verify_code
 from .instance import Instance, check_valid
@@ -160,13 +160,21 @@ def _exact_cover(
     search that enters each child, so a child cut at once costs no call.
     Returns the best partition found and whether the cap tripped.
 
+    The search runs on its own stack of frames, so a partition may have
+    as many parts as there are receivers, past the recursion limit.  A
+    frame is a `rec` generator over one subtree's children: it yields
+    the uncovered set of each child it enters, and the loop at the end
+    pushes a frame for it, pops a frame once it is exhausted, and stops
+    as soon as a frame sets `capped`.
+
     A subtree reads only its uncovered set and its slack, best_m less
-    depth, keyed as (slack << K) | uncovered.  A call that returns
-    uncapped without improving best stores the nodes it added; a later
-    call with the same key adds them and returns.  Walked again it would
-    count the same nodes and find nothing better, so the cap trips at
-    the same node with the same partition.  One key per completed call
-    keeps at most EXACT_NODE_CAP keys.
+    depth, keyed as (slack << K) | uncovered.  A frame that ends
+    uncapped without improving best stores the nodes it added.  Before
+    entering a child, its parent looks up the child's key, and on a hit
+    adds the stored count instead, so a repeat builds no frame.  Walked
+    again it would count the same nodes and find nothing better, so the
+    cap trips at the same node with the same partition.  One key per
+    completed frame keeps at most EXACT_NODE_CAP keys.
     """
     max_size = max(len(c.receivers) for c in cliques)
     cap = EXACT_NODE_CAP
@@ -189,17 +197,16 @@ def _exact_cover(
     by_low = [[g for g in groups if g[0] >> k & 1] for k in range(K)]
     full = (1 << K) - 1
     nodes = 1
+    capped = False
     parts: List[ImplementableClique] = []
     searched: Dict[int, int] = {}
 
-    def rec(uncovered: int) -> bool:
-        """Branch on the lowest uncovered receiver; True once capped."""
-        nonlocal best, best_m, nodes
+    def rec(uncovered: int) -> Iterator[int]:
+        """Branch on the lowest uncovered receiver; yields each child's
+        uncovered set, and sets `capped` once the cap trips."""
+        nonlocal best, best_m, nodes, capped
         depth = len(parts) + 1
-        key = (best_m - depth) << K | uncovered
-        if key in searched:
-            nodes += searched[key]
-            return nodes > cap
+        slack = best_m - depth
         start = nodes
         left = uncovered.bit_count()
         covered = full ^ uncovered
@@ -214,26 +221,40 @@ def _exact_cover(
                     len(g) for m, _, g in children if not m & covered
                 )
                 if nodes > cap:
-                    return True
+                    capped = True
+                    return
                 break
             for c in same:
                 nodes += 1
                 if nodes > cap:
-                    return True
+                    capped = True
+                    return
                 if width == left:
                     if depth < best_m:
                         best_m = depth
                         best = parts + [c]
                 elif depth - (width - left) // max_size < best_m:
+                    rest = uncovered ^ mask
+                    key = (best_m - depth - 1) << K | rest
+                    if key in searched:
+                        nodes += searched[key]
+                        if nodes > cap:
+                            capped = True
+                            return
+                        continue
                     parts.append(c)
-                    if rec(uncovered ^ mask):
-                        return True
+                    yield rest
                     parts.pop()
-        if key >> K == best_m - depth:
-            searched[key] = nodes - start
-        return False
+        if best_m - depth == slack:
+            searched[slack << K | uncovered] = nodes - start
 
-    capped = rec(full)
+    stack = [rec(full)]
+    while stack and not capped:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(rec(child))
     return best, capped
 
 

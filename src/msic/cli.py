@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 infeasible instance or degenerate generator
 parameters, 2 unreadable, undecodable, too deeply nested or malformed
 input, an unwritable output path or a closed standard output, 3 invalid
-code, 4 resource cap (search exponent, oracle guard, or a search or
-exact cover nested past the recursion limit).
+code, 4 resource cap (search exponent or oracle guard).
 Reports are deterministic for fixed inputs, flags and seeds, on any
 machine, except for the "timings" object.
 
@@ -114,36 +113,40 @@ def _bits(mask: int, K: int) -> List[int]:
     return [(mask >> i) & 1 for i in range(K)]
 
 
-def _report(command: str, args: argparse.Namespace, inst: Instance,
-            results: Dict, timings: Dict) -> Dict:
-    arguments = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key != "handler" and value is not None
-    }
-    return {
-        "command": command,
-        "arguments": arguments,
-        "tool_version": __version__,
-        "instance_digest": _digest(inst),
-        "results": results,
-        "timings": timings,
-    }
-
-
 def _emit(
+    command: str,
     args: argparse.Namespace,
-    report: Dict,
+    inst: Instance,
+    results: Dict,
+    timings: Dict,
     lines: List[str],
     write_out: bool = True,
 ) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Print `lines`, or with --json the JSON report; --out also writes
+    the report.  The report is built and encoded only when one of them
+    uses it: for a large solve that is most of the cost."""
     out = getattr(args, "out", None) if write_out else None
-    if out:
-        _write_text(out, payload)
-    if getattr(args, "json", False):
-        sys.stdout.write(payload)
-    else:
+    as_json = getattr(args, "json", False)
+    if out or as_json:
+        arguments = {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key != "handler" and value is not None
+        }
+        report = {
+            "command": command,
+            "arguments": arguments,
+            "tool_version": __version__,
+            "instance_digest": _digest(inst),
+            "results": results,
+            "timings": timings,
+        }
+        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if out:
+            _write_text(out, payload)
+        if as_json:
+            sys.stdout.write(payload)
+    if not as_json:
         for line in lines:
             print(line)
 
@@ -157,10 +160,6 @@ def _solve_value(inst: Instance):
         raise CLIError(str(exc), EXIT_CAP) from None
     except SearchCapConfigError as exc:
         raise CLIError(str(exc), EXIT_PARSE) from None
-    except RecursionError:
-        raise CLIError(
-            f"search too deep: K={inst.K} levels pass the recursion limit", EXIT_CAP
-        ) from None
 
 
 # ---- subcommands ----
@@ -191,7 +190,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ]
     if args.emit_code:
         lines.append(f"code written to {args.emit_code}")
-    _emit(args, _report("solve", args, inst, results, timings), lines)
+    _emit("solve", args, inst, results, timings, lines)
     return EXIT_OK
 
 
@@ -199,12 +198,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     mode = "greedy" if args.greedy else "exact"
     started = time.perf_counter()
-    try:
-        upper, cover = clique_cover_upper(inst, mode=mode)
-    except RecursionError:
-        raise CLIError(
-            f"exact cover too deep: K={inst.K} receivers pass the recursion limit", EXIT_CAP
-        ) from None
+    upper, cover = clique_cover_upper(inst, mode=mode)
     lower, witness = complement_clique_lower(inst)
     timings = {"bounds_seconds": time.perf_counter() - started}
     results = {
@@ -233,7 +227,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         results["sandwich_ok"] = sandwich
         lines.append(f"hyperminrank = {solved.hyperminrank}")
         lines.append(f"sandwich {'OK' if sandwich else 'VIOLATED'}")
-    _emit(args, _report("bounds", args, inst, results, timings), lines)
+    _emit("bounds", args, inst, results, timings, lines)
     return EXIT_OK
 
 
@@ -259,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     lines = [f"code {'valid' if valid else 'INVALID'} "
              f"(algebraic={algebraic}, simulate={simulated})"]
-    _emit(args, _report("verify", args, inst, results, timings), lines)
+    _emit("verify", args, inst, results, timings, lines)
     return EXIT_OK if valid else EXIT_BAD_CODE
 
 
@@ -315,7 +309,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"no code found with length <= {max_length}",
             f"solver value = {solved.hyperminrank}",
         ]
-    _emit(args, _report("oracle", args, inst, results, timings), lines)
+    _emit("oracle", args, inst, results, timings, lines)
     return EXIT_OK
 
 
@@ -346,7 +340,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     ]
     if profile.e_embedded is not None:
         lines.append(f"embedded exponent = {profile.e_embedded}")
-    _emit(args, _report("complexity", args, inst, results, timings), lines)
+    _emit("complexity", args, inst, results, timings, lines)
     return EXIT_OK
 
 
@@ -379,7 +373,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         lines.append(f"instance written to {args.out} (K={inst.K}, N={inst.N})")
     else:
         lines.append(payload.rstrip("\n"))
-    _emit(args, _report("gen", args, inst, results, timings), lines, write_out=False)
+    _emit("gen", args, inst, results, timings, lines, write_out=False)
     return EXIT_OK
 
 

@@ -215,7 +215,8 @@ def fits(A: CompositeAdjacency, inst: Instance) -> Optional[SubChoice]:
     messages k does not know, is e_k (an odd sender set for the demand,
     an even one for each unknown message).  Then the rows split into
     the demand senders, the cached (message, sender) cells and the
-    coupled sender set of each unknown message.
+    coupled sender set of each unknown message.  Only the set bits of
+    receiver k's rows are visited, so the split is linear in them.
     """
     K = inst.K
     if (
@@ -232,20 +233,27 @@ def fits(A: CompositeAdjacency, inst: Instance) -> Optional[SubChoice]:
     demand_sel: List[FrozenSet[int]] = []
     cached_sel: List[FrozenSet[Tuple[int, int]]] = []
     coupled_sel: List[Tuple[Tuple[int, FrozenSet[int]], ...]] = []
+    everything = (1 << K) - 1
     for k in range(1, K + 1):
         rows = [block[k - 1] for block in A.blocks]
         known = inst.side_info[k - 1]
-        unknown = [m for m in range(1, K + 1) if m != k and m not in known]
-        parity = sum(1 << (m - 1) for m in unknown) | 1 << (k - 1)
-        if reduce(xor, rows) & parity != 1 << (k - 1):
+        demand = 1 << (k - 1)
+        parity = everything & ~sum(1 << (m - 1) for m in known) | demand
+        if reduce(xor, rows) & parity != demand:
             return None
-        senders = [
-            frozenset(n for n, row in enumerate(rows, start=1) if row >> (m - 1) & 1)
-            for m in range(1, K + 1)
-        ]
-        demand_sel.append(senders[k - 1])
-        cached_sel.append(frozenset((m, n) for m in known for n in senders[m - 1]))
-        coupled_sel.append(tuple((m, senders[m - 1]) for m in unknown if senders[m - 1]))
+        # holding[m]: the senders whose row sets bit m - 1
+        holding: Dict[int, List[int]] = {}
+        for n, row in enumerate(rows, start=1):
+            while row:
+                low = row & -row
+                row ^= low
+                holding.setdefault(low.bit_length(), []).append(n)
+        senders = {m: frozenset(ns) for m, ns in holding.items()}
+        demand_sel.append(senders[k])
+        cached_sel.append(frozenset((m, n) for m in known for n in senders.get(m, ())))
+        coupled_sel.append(tuple(
+            (m, senders[m]) for m in sorted(senders) if m != k and m not in known
+        ))
     return SubChoice(
         demand_senders=tuple(demand_sel),
         cached_edges=tuple(cached_sel),

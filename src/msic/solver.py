@@ -479,11 +479,6 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     return total
 
 
-class _RootBoundMet(Exception):
-    """The incumbent fell to the root acyclic-set bound: no later option
-    can improve on it."""
-
-
 def _search(
     tables: Sequence[_ReceiverTable],
     N: int,
@@ -492,6 +487,15 @@ def _search(
     incumbent: int,
 ) -> Tuple[Optional[int], Optional[Tuple[int, ...]], int]:
     """Depth-first scan; returns (value, option indices, leaves).
+
+    The scan runs on its own stack of frames, not on the Python call
+    stack, so it may go K levels deep whatever the recursion limit.
+    A frame is a `descend` generator over one level's options:
+    where it would enter a child, it yields (child, indices, rank), and
+    the loop at the end pushes a frame for that child, pops a frame once
+    it is exhausted and resumes the one below.  A frame keeps its undo
+    state in its own locals, so it undoes its option's rows when it
+    resumes, as a returning call would.
 
     Sender n's XOR basis is pivots[n], a list of K slots indexed by the
     pivot bit (0 = empty slot).  Above the last level each row is
@@ -511,8 +515,9 @@ def _search(
 
     With pruning, an inner child is cut first when rank + |sets[child]|,
     less the rank of the bases masked to sets[child] (`_rank_above`),
-    reaches the incumbent, and the probe raises `_RootBoundMet` once the
-    incumbent falls to |sets[0]| (see the module docstring).
+    reaches the incumbent.  Once a probe brings the incumbent down to
+    |sets[0]|, its frame returns and the loop stops (see the module
+    docstring).
 
     With pruning, an inner child that survives the cut is entered only
     if its state key is new at its level (see the module docstring).
@@ -571,10 +576,8 @@ def _search(
             delta, combo[last] = cheapest
             best = rank + delta
             found = tuple(combo)
-            if best <= root:
-                raise _RootBoundMet
 
-    def descend(level: int, indices: range, rank: int) -> None:
+    def descend(level: int, indices: range, rank: int) -> Iterator[Tuple[int, range, int]]:
         nonlocal stored
         table = tables[level]
         touched = undo_pivots[level]
@@ -614,6 +617,8 @@ def _search(
                 combo[level] = idx
                 if child == last:
                     probe(full[last], rank + added)
+                    if best <= root:
+                        return  # no later option can improve on it
                 elif (
                     prune
                     and (slack := rank + added + sizes[child] - best) >= 0
@@ -621,7 +626,7 @@ def _search(
                 ):
                     pass  # cut: the residual acyclic-set bound reaches the incumbent
                 elif not prune or child < first_keyed:
-                    descend(child, full[child], rank + added)
+                    yield child, full[child], rank + added
                 else:
                     key = 1
                     for pv in pivots:
@@ -638,20 +643,23 @@ def _search(
                         if stored < VISITED_STATE_CAP:
                             visited.add(key)
                             stored += 1
-                        descend(child, full[child], rank + added)
+                        yield child, full[child], rank + added
             while added:
                 added -= 1
                 touched[added][slots[added]] = 0
         if level >= first_keyed and kept[level] is None:
             kept[level] = list(table.scan(full[level]))
 
-    try:
-        if last == 0:
-            probe(first_range, 0)
-        else:
-            descend(0, first_range, 0)
-    except _RootBoundMet:
-        pass
+    if last == 0:
+        probe(first_range, 0)
+    else:
+        stack = [descend(0, first_range, 0)]
+        while stack and best > root:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(descend(*child))
     if found is None:
         return None, None, leaves
     return best, found, leaves

@@ -405,13 +405,15 @@ def test_cover_matches_the_referee_where_a_subtree_improves_twice(K, seed):
 
 
 def _search_calls(args) -> int:
-    """Calls of `_exact_cover`'s nested `rec`, counted by a profile hook."""
-    calls = 0
+    """Frames of `_exact_cover`'s nested `rec` generator, counted by a
+    profile hook.  A generator fires a "call" event each time it resumes,
+    so the hook counts distinct frames.  It keeps each one, so no new
+    frame can take a freed one's place in the set."""
+    frames = set()
 
     def hook(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_name == "rec":
-            calls += 1
+            frames.add(frame)
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -419,16 +421,17 @@ def _search_calls(args) -> int:
         bounds._exact_cover(*args)
     finally:
         sys.setprofile(previous)
-    return calls
+    return len(frames)
 
 
 @pytest.mark.parametrize(
-    "K, seed, calls", [(13, 4, 1_205), (13, 14, 1_066), (14, 21, 1_280), (14, 36, 935)]
+    "K, seed, calls", [(13, 4, 182), (13, 14, 147), (14, 21, 233), (14, 36, 180)]
 )
 def test_capped_cover_reuses_searched_subtrees(K, seed, calls):
-    # Walked in full, the search to the cap makes 57,389 calls on
-    # embedded13-g14; reusing the node count of every subtree searched
-    # without improvement leaves these.
+    # Walked in full, the search to the cap enters 57,389 subtrees on
+    # embedded13-g14.  Reusing the node count of every subtree searched
+    # without improvement leaves these frames: a repeat is looked up in
+    # its parent, so it builds none.
     cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
     assert _search_calls((cliques, K, bounds._greedy_cover(cliques, K))) == calls
 
