@@ -14,7 +14,6 @@ from .instance import (
     generate_random,
     parse_instance,
     serialize_instance,
-    validate,
 )
 from .hypergraph import (
     CompositeAdjacency,
@@ -67,7 +66,6 @@ __all__ = [
     "generate_random",
     "parse_instance",
     "serialize_instance",
-    "validate",
     "CompositeAdjacency",
     "HyperEdge",
     "SideInfoHypergraph",

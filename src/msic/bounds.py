@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .codec import LinearCode, verify_code
-from .instance import Instance, check_valid
+from .instance import Instance
 
 __all__ = [
     "ImplementableClique",
@@ -105,7 +105,6 @@ def enumerate_implementable_cliques(inst: Instance) -> List[ImplementableClique]
     are known by, every member, so the work follows the cliques rather
     than the subsets of the store.
     """
-    check_valid(inst)
     mutual = [0] * inst.K
     for k, known in enumerate(inst.side_info, 1):
         for m in known:
@@ -276,7 +275,6 @@ def clique_cover_upper(
     exact=False.  The induced code is verified before returning, so m
     transmissions provably suffice.
     """
-    check_valid(inst)
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     cliques = enumerate_implementable_cliques(inst)
@@ -339,7 +337,6 @@ def complement_clique_lower(
     the largest cliques the witness is the first in ascending vertex
     order; its host is the lowest sender storing its messages.
     """
-    check_valid(inst)
     K = inst.K
     holders = [_receiver_mask(inst.stores_of(k)) for k in range(1, K + 1)]
     # Bit j-1 of apart[k] is set when j != k+1 and neither of receivers

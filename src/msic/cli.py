@@ -154,8 +154,6 @@ def _emit(
 def _solve_value(inst: Instance):
     try:
         return hyperminrank(inst)
-    except InstanceValidationError as exc:
-        raise CLIError(f"infeasible instance: {exc}", EXIT_INFEASIBLE) from None
     except SearchCapError as exc:
         raise CLIError(str(exc), EXIT_CAP) from None
     except SearchCapConfigError as exc:

@@ -1,8 +1,10 @@
-"""Problem model: parse, validate, serialize and generate instances.
+"""Problem model: parse, serialize and generate instances.
 
 An instance has K receivers (receiver k demands message k and already
 holds the messages R(k)) and N senders (sender n stores the message
 subset M_n).  All indices are 1-based here and in the JSON file format.
+An `Instance` is valid by construction: every message is stored
+somewhere and no receiver knows its own demand.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "InstanceFormatError",
     "InstanceValidationError",
     "GenerationError",
-    "validate",
-    "check_valid",
     "derive_stats",
     "parse_instance",
     "serialize_instance",
@@ -48,10 +48,40 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
+    """A valid instance.  Construction, `dataclasses.replace` included,
+    raises InstanceValidationError listing every model rule broken."""
+
     K: int
     N: int
     sender_stores: Tuple[FrozenSet[int], ...]
     side_info: Tuple[FrozenSet[int], ...]
+
+    def __post_init__(self) -> None:
+        out: List[str] = []
+        if self.K < 1:
+            out.append(f"K must be >= 1, got {self.K}")
+        if self.N < 1:
+            out.append(f"N must be >= 1, got {self.N}")
+        if len(self.sender_stores) != self.N:
+            out.append(f"expected {self.N} sender stores, got {len(self.sender_stores)}")
+        if len(self.side_info) != self.K:
+            out.append(f"expected {self.K} side-information sets, got {len(self.side_info)}")
+        if out:
+            raise InstanceValidationError(out)
+        for n, store in enumerate(self.sender_stores, start=1):
+            for m in store:
+                if not 1 <= m <= self.K:
+                    out.append(f"sender {n} stores out-of-range message {m}")
+        for k, known in enumerate(self.side_info, start=1):
+            for m in known:
+                if not 1 <= m <= self.K:
+                    out.append(f"receiver {k} has out-of-range side information {m}")
+            if k in known:
+                out.append(f"receiver {k} lists its own demand {k} as side information")
+        stored = frozenset().union(*self.sender_stores)
+        out += [f"message {m} is stored at no sender" for m in range(1, self.K + 1) if m not in stored]
+        if out:
+            raise InstanceValidationError(out)
 
     def stores_of(self, message: int) -> FrozenSet[int]:
         """Senders holding the given message (the availability set M(m))."""
@@ -66,43 +96,6 @@ class DerivedStats:
     total_load: int
     r0: int
     delta: Fraction
-
-
-def validate(inst: Instance) -> List[str]:
-    """Model-rule violations, empty when the instance is valid."""
-    out: List[str] = []
-    if inst.K < 1:
-        out.append(f"K must be >= 1, got {inst.K}")
-    if inst.N < 1:
-        out.append(f"N must be >= 1, got {inst.N}")
-    if len(inst.sender_stores) != inst.N:
-        out.append(f"expected {inst.N} sender stores, got {len(inst.sender_stores)}")
-    if len(inst.side_info) != inst.K:
-        out.append(f"expected {inst.K} side-information sets, got {len(inst.side_info)}")
-    if out:
-        return out
-    for n, store in enumerate(inst.sender_stores, start=1):
-        for m in store:
-            if not 1 <= m <= inst.K:
-                out.append(f"sender {n} stores out-of-range message {m}")
-    for k, known in enumerate(inst.side_info, start=1):
-        for m in known:
-            if not 1 <= m <= inst.K:
-                out.append(f"receiver {k} has out-of-range side information {m}")
-        if k in known:
-            out.append(f"receiver {k} lists its own demand {k} as side information")
-    for m in range(1, inst.K + 1):
-        if not any(m in store for store in inst.sender_stores):
-            out.append(f"message {m} is stored at no sender")
-    return out
-
-
-def check_valid(inst: Instance) -> Instance:
-    """Raise InstanceValidationError unless the instance is valid."""
-    violations = validate(inst)
-    if violations:
-        raise InstanceValidationError(violations)
-    return inst
 
 
 def derive_stats(inst: Instance) -> DerivedStats:
@@ -138,7 +131,7 @@ def _index_list(raw: object, what: str) -> FrozenSet[int]:
 
 
 def parse_instance(text: str) -> Instance:
-    """Decode the JSON instance format and validate the result.
+    """Decode the JSON instance format.
 
     Raises InstanceFormatError for structural problems and
     InstanceValidationError for model-rule violations.
@@ -164,7 +157,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("senders and receivers must be arrays of arrays")
     stores = tuple(_index_list(raw, f"senders[{i}]") for i, raw in enumerate(obj["senders"], start=1))
     known = tuple(_index_list(raw, f"receivers[{i}]") for i, raw in enumerate(obj["receivers"], start=1))
-    return check_valid(Instance(K=obj["K"], N=obj["N"], sender_stores=stores, side_info=known))
+    return Instance(K=obj["K"], N=obj["N"], sender_stores=stores, side_info=known)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -215,9 +208,7 @@ def generate_random(K: int, N: int, delta: float, r0: int, seed: int) -> Instanc
         pool = [m for m in range(1, K + 1) if m != k]
         size = rng.randint(0, r0)
         side.append(frozenset(rng.sample(pool, size)))
-    return check_valid(
-        Instance(K=K, N=N, sender_stores=tuple(frozenset(s) for s in stores), side_info=tuple(side))
-    )
+    return Instance(K=K, N=N, sender_stores=tuple(frozenset(s) for s in stores), side_info=tuple(side))
 
 
 def generate_embedded(K: int, seed: int, max_redraws: int = 100) -> Instance:
@@ -237,7 +228,5 @@ def generate_embedded(K: int, seed: int, max_redraws: int = 100) -> Instance:
         for n in range(1, K + 1):
             side.append(frozenset(m for m in range(1, K + 1) if m != n and rng.random() < 0.5))
         if all(any(m in s for s in side) for m in range(1, K + 1)):
-            return check_valid(
-                Instance(K=K, N=K, sender_stores=tuple(side), side_info=tuple(side))
-            )
+            return Instance(K=K, N=K, sender_stores=tuple(side), side_info=tuple(side))
     raise GenerationError(f"no feasible embedded draw for K={K} within {max_redraws} attempts")

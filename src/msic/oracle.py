@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from .codec import LinearCode
 from .gf2 import in_span_with_side_info
-from .instance import Instance, check_valid
+from .instance import Instance
 
 __all__ = ["OracleReport", "optimal_linear_code_bruteforce"]
 
@@ -59,7 +59,6 @@ def optimal_linear_code_bruteforce(inst: Instance, max_length: Optional[int] = N
     matters.  With max_length = K a feasible instance always succeeds,
     since K unit transmissions decode everything.
     """
-    check_valid(inst)
     if max_length is None:
         max_length = inst.K
     if not 0 <= max_length <= inst.K:

@@ -98,7 +98,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 # Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
 from .hypergraph import CompositeAdjacency, SubChoice, fits
-from .instance import Instance, check_valid, derive_stats
+from .instance import Instance, derive_stats
 
 __all__ = [
     "SolveReport",
@@ -165,7 +165,6 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
     replication threshold verdict, and the embedded-case exponent when
     the instance has K == N with every node storing exactly what it
     knows."""
-    check_valid(inst)
     stats = derive_stats(inst)
     d = stats.replication
     extra = [max(dm - 1, 0) for dm in d]
@@ -688,8 +687,7 @@ def hyperminrank(
     by a greedy descent, so every field but `elapsed` depends only on
     the instance and `prune`.
 
-    Raises InstanceValidationError for infeasible instances,
-    SearchCapError when the advertised exponent exceeds the cap
+    Raises SearchCapError when the advertised exponent exceeds the cap
     (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`)
     and SearchCapConfigError when MSIC_SEARCH_CAP is not an integer.
     """
@@ -730,13 +728,14 @@ def hyperminrank(
 
 def minrank_single(inst: Instance, cap: Optional[int] = None) -> int:
     """Minimum rank over matrices with unit diagonal and off-diagonal
-    support inside the side-information sets; the sender must store
-    every message."""
-    check_valid(inst)
+    support inside the side-information sets, for a single sender (who
+    stores every message, since the instance is valid).
+
+    A depth-first search with one row per receiver, run on its own stack
+    of generator frames like `_search` but independent of it, so tests
+    can use it as the classical reference at any K."""
     if inst.N != 1:
         raise ValueError(f"needs a single sender, got N={inst.N}")
-    if inst.sender_stores[0] != frozenset(range(1, inst.K + 1)):
-        raise ValueError("the sender must store all K messages")
     exponent = sum(len(r) for r in inst.side_info)
     effective = _effective_cap(cap)
     if exponent > effective:
@@ -751,13 +750,9 @@ def minrank_single(inst: Instance, cap: Optional[int] = None) -> int:
     best = K + 1
     pivots = [0] * K
 
-    def rec(k: int, rank: int) -> None:
-        nonlocal best
-        if rank >= best:
-            return
-        if k > K:
-            best = rank
-            return
+    def rows(k: int, rank: int) -> Iterator[Tuple[int, int]]:
+        """Reduce each row of receiver k into `pivots` in turn and yield
+        the child (k + 1, its rank); the row leaves `pivots` on resume."""
         base = 1 << (k - 1)
         bits = side_bits[k - 1]
         for mask in range(1 << len(bits)):
@@ -774,9 +769,18 @@ def minrank_single(inst: Instance, cap: Optional[int] = None) -> int:
                     slot = p
                     break
                 row ^= v
-            rec(k + 1, rank + (slot >= 0))
+            yield k + 1, rank + (slot >= 0)
             if slot >= 0:
                 pivots[slot] = 0
 
-    rec(1, 0)
+    stack = [rows(1, 0)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif child[1] < best:
+            if child[0] > K:
+                best = child[1]
+            else:
+                stack.append(rows(*child))
     return best

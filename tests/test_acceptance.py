@@ -26,11 +26,11 @@ from msic.gf2 import support
 from msic.hypergraph import CompositeAdjacency, fits, sub_adjacency
 from msic.instance import (
     Instance,
+    InstanceValidationError,
     derive_stats,
     generate_embedded,
     parse_instance,
     serialize_instance,
-    validate,
 )
 from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import complexity_exponents, hyperminrank, minrank_single
@@ -159,8 +159,9 @@ def test_criterion_8_enumeration_completeness():
                     for k in range(1, K + 1)
                 ]
                 for side in itertools.product(*side_pools):
-                    inst = Instance(K=K, N=N, sender_stores=stores, side_info=side)
-                    if validate(inst):
+                    try:
+                        inst = Instance(K=K, N=N, sender_stores=stores, side_info=side)
+                    except InstanceValidationError:
                         continue
                     instances += 1
                     enumerated = {

@@ -24,7 +24,7 @@ from msic.bounds import (
 )
 from msic.codec import verify_code
 from msic.hypergraph import build, complement, sender_projection_pairs
-from msic.instance import Instance, check_valid, generate_embedded, generate_random
+from msic.instance import Instance, generate_embedded, generate_random
 from msic.solver import hyperminrank, minrank_single
 
 
@@ -154,7 +154,6 @@ def test_cover_type_shapes(ex2):
 
 def _scan_lower(inst):
     """The combinations scan the clique search replaced, as a referee."""
-    check_valid(inst)
     comp = complement(build(inst))
     pairs = sender_projection_pairs(comp)
     for size in range(inst.K, 0, -1):
@@ -234,7 +233,6 @@ def test_lower_matches_the_scan(inst):
 
 def _scan_cliques(inst):
     """The subset scan the extension search replaced, as a referee."""
-    check_valid(inst)
     found = set()
     for n in range(1, inst.N + 1):
         store = sorted(inst.sender_stores[n - 1])

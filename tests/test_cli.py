@@ -132,14 +132,18 @@ def test_solve_malformed_instance_exits_2(capsys, tmp_path):
     assert "missing fields" in err
 
 
-def test_solve_infeasible_instance_exits_1(capsys, tmp_path):
+@pytest.mark.parametrize("command, flags", [
+    ("solve", []), ("bounds", []), ("verify", ["--code", "code.json"]), ("oracle", []), ("complexity", []),
+], ids=["solve", "bounds", "verify", "oracle", "complexity"])
+def test_solve_infeasible_instance_exits_1(capsys, tmp_path, command, flags):
     bad = tmp_path / "orphan.json"
     bad.write_text(
         '{"K":2,"N":1,"senders":[[1]],"receivers":[[],[]]}'
     )
-    rc, _, err = run(capsys, "solve", str(bad))
+    rc, out, err = run(capsys, command, str(bad), *flags)
     assert rc == 1
-    assert "stored at no sender" in err
+    assert out == ""
+    assert err == f"error: infeasible instance {bad}: message 2 is stored at no sender\n"
 
 
 def test_solve_cap_exits_4(corpus_dir, capsys, monkeypatch):

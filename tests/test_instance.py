@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from msic.instance import (
     generate_random,
     parse_instance,
     serialize_instance,
-    validate,
 )
 
 
@@ -36,7 +36,6 @@ def test_generate_random_is_deterministic(seed):
     a = generate_random(4, 2, delta=0.5, r0=2, seed=seed)
     b = generate_random(4, 2, delta=0.5, r0=2, seed=seed)
     assert a == b
-    assert not validate(a)
 
 
 def test_generate_random_respects_budgets():
@@ -63,7 +62,6 @@ def test_generate_embedded_shape():
         assert inst.K == inst.N == 4
         for n in range(1, 5):
             assert inst.sender_stores[n - 1] == inst.side_info[n - 1]
-        assert not validate(inst)
 
 
 def test_generate_embedded_degenerate_k1():
@@ -125,14 +123,23 @@ def test_parse_flags_validation_violations():
 
 
 def test_validate_collects_multiple_violations():
-    inst = Instance(
-        K=2,
-        N=1,
-        sender_stores=(frozenset({1, 7}),),
-        side_info=(frozenset({1}), frozenset()),
-    )
-    problems = validate(inst)
-    assert len(problems) >= 3  # out of range, own demand, message 2 missing
+    with pytest.raises(InstanceValidationError) as exc:
+        Instance(
+            K=2,
+            N=1,
+            sender_stores=(frozenset({1, 7}),),
+            side_info=(frozenset({1}), frozenset()),
+        )
+    assert len(exc.value.violations) >= 3  # out of range, own demand, message 2 missing
+
+
+def test_construction_is_the_one_gate(ex1):
+    # Every consumer takes an Instance, so none can be handed an invalid one.
+    with pytest.raises(InstanceValidationError, match="expected 4 sender stores, got 3"):
+        dataclasses.replace(ex1, N=4)
+    with pytest.raises(InstanceValidationError) as exc:
+        Instance(K=2, N=1, sender_stores=(frozenset({1}),), side_info=(frozenset(), frozenset()))
+    assert exc.value.violations == ["message 2 is stored at no sender"]
 
 
 # ---- derived statistics ----

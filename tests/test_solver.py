@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from msic.hypergraph import fits, sub_adjacency
 from msic.instance import (
     Instance,
     InstanceValidationError,
-    check_valid,
     derive_stats,
     serialize_instance,
 )
@@ -229,14 +229,13 @@ def test_search_cap_via_environment(ex1, monkeypatch):
 
 
 def test_infeasible_instance_rejected_before_search():
-    inst = Instance(
-        K=2,
-        N=1,
-        sender_stores=(frozenset({1}),),
-        side_info=(frozenset(), frozenset()),
-    )
     with pytest.raises(InstanceValidationError):
-        hyperminrank(inst)
+        Instance(
+            K=2,
+            N=1,
+            sender_stores=(frozenset({1}),),
+            side_info=(frozenset(), frozenset()),
+        )
 
 
 # ---- complexity profile ----
@@ -323,7 +322,6 @@ def test_embedded_exponent_present_for_embedded_shape():
 def _referee_exponents(inst: Instance) -> ComplexityProfile:
     """The K^2 scan over every other message that the running totals
     replaced, as a referee."""
-    check_valid(inst)
     stats = derive_stats(inst)
     d = stats.replication
     e1 = 0
@@ -419,11 +417,22 @@ def test_minrank_single_requires_full_single_store(ex1):
         side_info=(frozenset(), frozenset()),
     )
     assert minrank_single(partial) == 2
-    missing = Instance(
-        K=2,
-        N=1,
-        sender_stores=(frozenset({1}),),
-        side_info=(frozenset(), frozenset()),
-    )
     with pytest.raises(InstanceValidationError):
-        minrank_single(missing)
+        Instance(
+            K=2,
+            N=1,
+            sender_stores=(frozenset({1}),),
+            side_info=(frozenset(), frozenset()),
+        )
+
+
+def test_minrank_single_runs_past_the_recursion_limit():
+    K = 1200
+    assert K > sys.getrecursionlimit()
+    no_side = Instance(
+        K=K,
+        N=1,
+        sender_stores=(frozenset(range(1, K + 1)),),
+        side_info=(frozenset(),) * K,
+    )
+    assert minrank_single(no_side) == K
