@@ -214,7 +214,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     lines = [
         f"lower bound = {lower}",
-        f"upper bound = {upper} ({'exact' if cover.exact else 'greedy'} cover, "
+        f"upper bound = {upper} ({mode if cover.exact or args.greedy else 'capped'} cover, "
         f"{len(cover.cliques)} cliques)",
     ]
     if args.with_exact_solve:
@@ -315,14 +315,13 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     started = time.perf_counter()
     profile = complexity_exponents(inst)
-    stats = derive_stats(inst)
     timings = {"profile_seconds": time.perf_counter() - started}
     results = {
         "e1": profile.e1,
         "e2": profile.e2,
         "e3": profile.e3,
         "search_space": profile.search_space,
-        "total_load": stats.total_load,
+        "total_load": profile.total_load,
         "threshold_holds": profile.threshold_holds,
         "threshold_lhs": str(profile.threshold_lhs),
         "threshold_rhs": str(profile.threshold_rhs),
@@ -332,7 +331,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         f"E1 = {profile.e1} (search space 2^{profile.e1} = {profile.search_space})",
         f"E2 = {profile.e2}",
         f"E3 = {profile.e3}",
-        f"S = {stats.total_load}",
+        f"S = {profile.total_load}",
         f"replication threshold {'holds' if profile.threshold_holds else 'fails'}"
         f" ({profile.threshold_lhs} vs {profile.threshold_rhs})",
     ]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Tuple
 
-from .gf2 import express_in_span, in_span_with_side_info, spanning_rows, support
+from .gf2 import express_in_span, spanning_rows, support
 from .hypergraph import CompositeAdjacency, fits
 from .instance import Instance
 
@@ -171,15 +171,24 @@ def decode_plan(A: CompositeAdjacency, inst: Instance, k: int) -> DecodePlan:
 # ---- verification ----
 
 
-def _flat_vectors(code: LinearCode) -> Tuple[List[int], List[int]]:
-    """Code vectors in sender order plus each vector's owning sender."""
-    vectors: List[int] = []
-    owners: List[int] = []
-    for n, vs in enumerate(code.senders, start=1):
-        for vec in vs:
-            vectors.append(vec)
-            owners.append(n)
-    return vectors, owners
+def _decodings(
+    code: LinearCode, inst: Instance
+) -> Iterator[Tuple[int, Optional[int], List[int]]]:
+    """Yield (k, mask, side) for each receiver k in turn.
+
+    side is R(k) in ascending order; mask holds the coefficients that
+    write e_k over the code's vectors in sender order followed by the
+    units of side, or None when receiver k cannot decode, after which
+    nothing more is yielded.  Both verify modes and the converse read
+    their decoding from here.
+    """
+    vectors = [vec for vs in code.senders for vec in vs]
+    for k in range(1, inst.K + 1):
+        side = sorted(inst.side_info[k - 1])
+        mask = express_in_span(1 << (k - 1), vectors + [1 << (j - 1) for j in side])
+        yield k, mask, side
+        if mask is None:
+            return
 
 
 def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bool:
@@ -195,41 +204,28 @@ def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bo
     per selected transmission or known message decodes a receiver.
     """
     check_support(code, inst)
-    vectors, _ = _flat_vectors(code)
-    if mode == "algebraic":
-        return all(
-            in_span_with_side_info(
-                1 << (k - 1), vectors, [j - 1 for j in inst.side_info[k - 1]]
-            )
-            for k in range(1, inst.K + 1)
-        )
-    if mode != "simulate":
+    if mode not in ("algebraic", "simulate"):
         raise ValueError(f"unknown verification mode {mode!r}")
-
-    plans = []
-    for k in range(1, inst.K + 1):
-        side = sorted(inst.side_info[k - 1])
-        basis = vectors + [1 << (j - 1) for j in side]
-        coeffs = express_in_span(1 << (k - 1), basis)
-        if coeffs is None:
-            return False
-        sel_tx = [i for i in range(len(vectors)) if (coeffs >> i) & 1]
-        sel_side = [side[i] for i in range(len(side)) if (coeffs >> (len(vectors) + i)) & 1]
-        plans.append((k, sel_tx, sel_side))
+    decodings = list(_decodings(code, inst))
+    if any(mask is None for _, mask, _ in decodings):
+        return False
+    if mode == "algebraic":
+        return True
 
     columns = _message_columns(inst.K)
     tx = []
-    for vec in vectors:
-        sent = 0
-        for j in support(vec):
-            sent ^= columns[j]
-        tx.append(sent)
-    for k, sel_tx, sel_side in plans:
+    for vs in code.senders:
+        for vec in vs:
+            sent = 0
+            for j in support(vec):
+                sent ^= columns[j]
+            tx.append(sent)
+    for k, mask, side in decodings:
+        # The simulated values of the basis that mask selects from.
+        basis = tx + [columns[j - 1] for j in side]
         decoded = 0
-        for i in sel_tx:
-            decoded ^= tx[i]
-        for j in sel_side:
-            decoded ^= columns[j - 1]
+        for i in support(mask):
+            decoded ^= basis[i]
         if decoded != columns[k - 1]:
             return False
     return True
@@ -274,18 +270,16 @@ def code_to_fitting(code: LinearCode, inst: Instance) -> CompositeAdjacency:
     diagonal parity works out odd and the unknown-message parities even,
     so the result always fits.
     """
-    if not verify_code(code, inst, mode="algebraic"):
-        raise UndecodableCodeError("code does not decode; no fitting derived")
-    vectors, owners = _flat_vectors(code)
+    check_support(code, inst)
     rows = [[0] * inst.K for _ in range(inst.N)]
-    for k in range(1, inst.K + 1):
-        side = sorted(inst.side_info[k - 1])
-        basis = vectors + [1 << (j - 1) for j in side]
-        coeffs = express_in_span(1 << (k - 1), basis)
-        assert coeffs is not None
-        for i, vec in enumerate(vectors):
-            if (coeffs >> i) & 1:
-                rows[owners[i] - 1][k - 1] ^= vec
+    for k, mask, _ in _decodings(code, inst):
+        if mask is None:
+            raise UndecodableCodeError("code does not decode; no fitting derived")
+        for n, vs in enumerate(code.senders):
+            for vec in vs:
+                if mask & 1:
+                    rows[n][k - 1] ^= vec
+                mask >>= 1
     A = CompositeAdjacency(
         K=inst.K, N=inst.N, blocks=tuple(tuple(r) for r in rows)
     )

@@ -145,6 +145,7 @@ class ComplexityProfile:
     e1: int
     e2: int
     e3: int
+    total_load: int
     e_embedded: Optional[int]
     threshold_holds: bool
     threshold_lhs: Fraction
@@ -194,6 +195,7 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
         e1=e1,
         e2=e2,
         e3=e3,
+        total_load=stats.total_load,
         e_embedded=e_embedded,
         threshold_holds=lhs <= rhs,
         threshold_lhs=lhs,

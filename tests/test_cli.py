@@ -262,6 +262,12 @@ def test_bounds_reports_a_capped_cover(capsys, tmp_path):
     assert rc == 0
     assert rep["results"]["upper"] == 7
     assert rep["results"]["cover_exact"] is False
+    rc, out, _ = run(capsys, "bounds", str(target))
+    assert rc == 0
+    assert "upper bound = 7 (capped cover, 7 cliques)" in out.splitlines()
+    rc, out, _ = run(capsys, "bounds", str(target), "--greedy")
+    assert rc == 0
+    assert "upper bound = 7 (greedy cover, 7 cliques)" in out.splitlines()
 
 
 def _fresh_process(argv, stdout=subprocess.PIPE):

@@ -108,6 +108,12 @@ def test_code_to_fitting_rejects_undecodable(ex1):
         code_to_fitting(code, ex1)
 
 
+def test_code_to_fitting_rejects_unstored_messages(ex1):
+    code = LinearCode(K=3, senders=((4,), (), ()))  # sender 1 does not store x3
+    with pytest.raises(CodeSupportError, match=r"sender 1 combines unstored messages \[3\]"):
+        code_to_fitting(code, ex1)
+
+
 def test_code_from_fitting_demands_a_fitting(ex1):
     stray = CompositeAdjacency(K=3, N=3, blocks=((7, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
@@ -131,9 +137,15 @@ def test_modes_agree_on_random_codes():
                     tuple(rng.randrange(0, mask + 1) & mask for _ in range(count))
                 )
             code = LinearCode(K=inst.K, senders=tuple(senders))
-            assert verify_code(code, inst, mode="algebraic") == verify_code(
-                code, inst, mode="simulate"
-            )
+            algebraic = verify_code(code, inst, mode="algebraic")
+            assert algebraic == verify_code(code, inst, mode="simulate")
+            if not algebraic:
+                with pytest.raises(UndecodableCodeError):
+                    code_to_fitting(code, inst)
+                continue
+            A = code_to_fitting(code, inst)
+            assert fits(A, inst) is not None
+            assert A.sum_rank() <= code_length(code)
 
 
 def test_round_trip_through_solver_witness():
@@ -150,10 +162,11 @@ def _simulate_per_message(code, inst):
     """The per-message simulation the bit-sliced one replaced, as a
     referee.
 
-    Verbatim but for calling codec.express_in_span and reading the
-    codec constants, so that a monkeypatch reaches both simulations.
+    Verbatim but for flattening the code itself, calling
+    codec.express_in_span and reading the codec constants, so that a
+    monkeypatch reaches both simulations.
     """
-    vectors, _ = codec._flat_vectors(code)
+    vectors = [vec for vs in code.senders for vec in vs]
     plans = []
     for k in range(1, inst.K + 1):
         side = sorted(inst.side_info[k - 1])

@@ -352,6 +352,7 @@ def _referee_exponents(inst: Instance) -> ComplexityProfile:
         e1=e1,
         e2=e2,
         e3=e3,
+        total_load=stats.total_load,
         e_embedded=e_embedded,
         threshold_holds=lhs <= rhs,
         threshold_lhs=lhs,
