@@ -7,6 +7,13 @@ code, 4 resource cap (search exponent or oracle guard).
 Reports are deterministic for fixed inputs, flags and seeds, on any
 machine, except for the "timings" object.
 
+A report is written by `_encode`, a writer built for the report's
+types: dicts with str keys, lists, str, int, bool, None and float.
+Its bytes are those of `json.dumps(report, indent=2, sort_keys=True)`,
+but `indent` would make `json` fall back to its pure-Python encoder,
+while `_encode` escapes strings with the C `encode_basestring_ascii` and
+joins a list of ints in one call.  Any other type raises TypeError.
+
 `main` reuses one argument parser per process, built on its first call:
 building it costs far more than parsing, and a process that runs many
 calls (a test suite, the benchmark) would otherwise rebuild it per call.
@@ -31,12 +38,11 @@ from . import __version__
 from .bounds import clique_cover_upper, complement_clique_lower
 from .codec import (
     CodeSupportError,
-    LinearCode,
-    code_from_fitting,
     code_length,
     load_code,
     serialize_code,
-    verify_code,
+    spanning_code,
+    verdicts,
 )
 from .instance import (
     GenerationError,
@@ -68,6 +74,9 @@ EXIT_CAP = 4
 ORACLE_GUARD_K = 6
 ORACLE_GUARD_LOAD = 10
 ORACLE_GUARD_LENGTH = 4
+
+_INF = float("inf")
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 class CLIError(Exception):
@@ -113,6 +122,56 @@ def _bits(mask: int, K: int) -> List[int]:
     return [(mask >> i) & 1 for i in range(K)]
 
 
+def _float(value: float) -> str:
+    """A float as `json` writes it (allow_nan: NaN, Infinity, -Infinity)."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return repr(value)
+
+
+def _encode(value: object, newline: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it;
+    `newline` is a line break plus the indent of the line `value` is on."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        items = [_encode_str(key) + ": " + _encode(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        for item in value:
+            if type(item) is not int:
+                items = [_encode(item, inner) for item in value]
+                break
+        else:
+            items = map(str, value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return _float(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(
     command: str,
     args: argparse.Namespace,
@@ -141,7 +200,7 @@ def _emit(
             "results": results,
             "timings": timings,
         }
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = _encode(report) + "\n"
         if out:
             _write_text(out, payload)
         if as_json:
@@ -167,7 +226,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     started = time.perf_counter()
     solved = _solve_value(inst)
-    code = code_from_fitting(solved.witness, inst)
+    # hyperminrank has checked that its witness fits
+    code = spanning_code(solved.witness)
     total = time.perf_counter() - started
     if args.emit_code:
         _write_text(args.emit_code, serialize_code(code) + "\n")
@@ -239,8 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CLIError(f"parse error in {args.code}: {exc}", EXIT_PARSE) from None
     started = time.perf_counter()
-    algebraic = verify_code(code, inst, mode="algebraic")
-    simulated = verify_code(code, inst, mode="simulate")
+    algebraic, simulated = verdicts(code, inst)  # load_code checked the support
     timings = {"verify_seconds": time.perf_counter() - started}
     valid = algebraic and simulated
     results = {

@@ -28,8 +28,10 @@ __all__ = [
     "load_code",
     "serialize_code",
     "code_from_fitting",
+    "spanning_code",
     "decode_plan",
     "verify_code",
+    "verdicts",
     "code_to_fitting",
 ]
 
@@ -135,11 +137,16 @@ def code_from_fitting(A: CompositeAdjacency, inst: Instance) -> LinearCode:
     """Spanning rows of each block become that sender's transmissions."""
     if fits(A, inst) is None:
         raise ValueError("matrix does not fit the instance's hypergraph")
-    senders = []
-    for block in A.blocks:
-        rows = list(block)
-        senders.append(tuple(rows[i] for i in spanning_rows(rows)))
-    return LinearCode(K=inst.K, senders=tuple(senders))
+    return spanning_code(A)
+
+
+def spanning_code(A: CompositeAdjacency) -> LinearCode:
+    """The code that `code_from_fitting` derives, without its fit check:
+    for a matrix already known to fit, such as a solver witness."""
+    return LinearCode(
+        K=A.K,
+        senders=tuple(tuple(block[i] for i in spanning_rows(block)) for block in A.blocks),
+    )
 
 
 def decode_plan(A: CompositeAdjacency, inst: Instance, k: int) -> DecodePlan:
@@ -197,21 +204,32 @@ def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bo
     algebraic: span-membership test of e_k against the transmissions
     plus the receiver's known unit vectors.
     simulate: run the actual encode/decode pipeline over message
-    vectors, exhaustively for K <= 16 and on seeded samples beyond.
-    The simulation is bit-sliced: each message bit is an integer
-    holding that bit of every simulated message, so one XOR per
-    support bit encodes a transmission for all messages, and one XOR
-    per selected transmission or known message decodes a receiver.
+    vectors (see `verdicts`).
     """
     check_support(code, inst)
     if mode not in ("algebraic", "simulate"):
         raise ValueError(f"unknown verification mode {mode!r}")
-    decodings = list(_decodings(code, inst))
-    if any(mask is None for _, mask, _ in decodings):
-        return False
     if mode == "algebraic":
-        return True
+        return all(mask is not None for _, mask, _ in _decodings(code, inst))
+    return all(verdicts(code, inst))
 
+
+def verdicts(code: LinearCode, inst: Instance) -> Tuple[bool, bool]:
+    """(algebraic, simulate): what `verify_code` returns in each mode,
+    from one decoding of each receiver.  The support is not checked:
+    the caller has done that (`load_code` does).
+
+    The simulation runs the encode/decode pipeline over message vectors,
+    exhaustively for K <= 16 and on seeded samples beyond, and only when
+    every receiver decodes algebraically.  It is bit-sliced: each
+    message bit is an integer holding that bit of every simulated
+    message, so one XOR per support bit encodes a transmission for all
+    messages, and one XOR per selected transmission or known message
+    decodes a receiver.
+    """
+    decodings = list(_decodings(code, inst))
+    if decodings[-1][1] is None:
+        return False, False
     columns = _message_columns(inst.K)
     tx = []
     for vs in code.senders:
@@ -227,8 +245,8 @@ def verify_code(code: LinearCode, inst: Instance, mode: str = "algebraic") -> bo
         for i in support(mask):
             decoded ^= basis[i]
         if decoded != columns[k - 1]:
-            return False
-    return True
+            return True, False
+    return True, True
 
 
 def _message_columns(K: int) -> List[int]:

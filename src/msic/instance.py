@@ -9,6 +9,7 @@ somewhere and no receiver knows its own demand.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -82,6 +83,16 @@ class Instance:
         out += [f"message {m} is stored at no sender" for m in range(1, self.K + 1) if m not in stored]
         if out:
             raise InstanceValidationError(out)
+
+    @functools.cached_property
+    def holders(self) -> Tuple[Tuple[int, ...], ...]:
+        """holders[m - 1]: the senders storing message m, ascending, from
+        one pass over the stores on first use."""
+        holders: List[List[int]] = [[] for _ in range(self.K)]
+        for n, store in enumerate(self.sender_stores, start=1):
+            for m in store:
+                holders[m - 1].append(n)
+        return tuple(map(tuple, holders))
 
     def stores_of(self, message: int) -> FrozenSet[int]:
         """Senders holding the given message (the availability set M(m))."""

@@ -161,6 +161,20 @@ def search_space_size(inst: Instance) -> Tuple[int, int]:
     return profile.search_space, profile.e1
 
 
+def _search_exponent(inst: Instance, replication: Sequence[int]) -> int:
+    """E1 from the replication degrees (replication[m - 1] senders store
+    message m): over the receivers k, |R(k)| plus the holders past the
+    first of every message k does not know, its demand included.
+    `complexity_exponents` and the cap check of `hyperminrank` both
+    compute E1 here."""
+    extra = [max(dm - 1, 0) for dm in replication]
+    total_extra = sum(extra)
+    return sum(
+        len(known) + total_extra - sum(extra[m - 1] for m in known)
+        for known in inst.side_info
+    )
+
+
 def complexity_exponents(inst: Instance) -> ComplexityProfile:
     """Search exponents, the per-sender quadratic cost exponent, the
     replication threshold verdict, and the embedded-case exponent when
@@ -168,17 +182,9 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
     knows."""
     stats = derive_stats(inst)
     d = stats.replication
-    extra = [max(dm - 1, 0) for dm in d]
-    total_extra = sum(extra)
-    e1 = 0
-    e2 = 0
-    for k in range(1, inst.K + 1):
-        known = inst.side_info[k - 1]
-        shared = extra[k - 1]
-        # The extra holders of every message k neither demands nor knows.
-        unknown = total_extra - shared - sum(extra[m - 1] for m in known)
-        e1 += shared + len(known) + unknown
-        e2 += shared + sum(d[m - 1] for m in known) + unknown
+    e1 = _search_exponent(inst, d)
+    # E2 counts every holder of a known message, where E1 counts one.
+    e2 = e1 + sum(d[m - 1] - 1 for known in inst.side_info for m in known)
     e3 = sum((len(s) ** 2 + len(s)) // 2 for s in inst.sender_stores)
     embedded = inst.K == inst.N and all(
         inst.sender_stores[n - 1] == inst.side_info[n - 1] for n in range(1, inst.N + 1)
@@ -237,7 +243,9 @@ class _ReceiverTable:
     coordinates whose sums over the senders the fitting criterion fixes.
     """
 
-    def __init__(self, inst: Instance, holders: List[List[int]], k: int):
+    def __init__(self, inst: Instance, k: int):
+        holders = inst.holders
+
         def cells(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
             row = [0] * inst.N
             for n, bit in pairs:
@@ -284,8 +292,7 @@ class _ReceiverTable:
 
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
-    holders = [sorted(inst.stores_of(m)) for m in range(1, inst.K + 1)]
-    return [_ReceiverTable(inst, holders, k) for k in range(1, inst.K + 1)]
+    return [_ReceiverTable(inst, k) for k in range(1, inst.K + 1)]
 
 
 # ---- the search itself ----
@@ -693,11 +700,11 @@ def hyperminrank(
     (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`)
     and SearchCapConfigError when MSIC_SEARCH_CAP is not an integer.
     """
-    profile = complexity_exponents(inst)
+    e1 = _search_exponent(inst, [len(h) for h in inst.holders])
     effective = _effective_cap(cap)
-    if profile.e1 > effective:
+    if e1 > effective:
         raise SearchCapError(
-            f"search exponent E1={profile.e1} exceeds cap {effective}; "
+            f"search exponent E1={e1} exceeds cap {effective}; "
             f"raise {SEARCH_CAP_ENV} or pass a larger cap to proceed"
         )
     started = time.perf_counter()

@@ -7,12 +7,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
 
 import msic
 from conftest import corpus_text
-from msic import cli
+from msic import cli, codec, hypergraph, instance, solver
 from msic.cli import main
 from msic.instance import Instance, serialize_instance
 
@@ -148,9 +150,13 @@ def test_solve_infeasible_instance_exits_1(capsys, tmp_path, command, flags):
 
 def test_solve_cap_exits_4(corpus_dir, capsys, monkeypatch):
     monkeypatch.setenv("MSIC_SEARCH_CAP", "5")
-    rc, _, err = run(capsys, "solve", str(corpus_dir / "ex1.json"))
+    rc, out, err = run(capsys, "solve", str(corpus_dir / "ex1.json"))
     assert rc == 4
-    assert "exceeds cap" in err
+    assert out == ""
+    assert err == (
+        "error: search exponent E1=9 exceeds cap 5; "
+        "raise MSIC_SEARCH_CAP or pass a larger cap to proceed\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,9 +359,10 @@ def test_plain_output_encodes_no_json(corpus_dir, capsys, monkeypatch):
     assert rc == 0 and expected.count("\n") == 3
 
     def refuse(*args, **kwargs):
-        raise AssertionError("json.dumps called without --json or --out")
+        raise AssertionError("report encoded without --json or --out")
 
     monkeypatch.setattr("msic.cli.json.dumps", refuse)
+    monkeypatch.setattr("msic.cli._encode", refuse)
     assert run(capsys, "solve", path) == (0, expected, "")
 
 
@@ -478,3 +485,121 @@ def test_gen_missing_n_exits_2(capsys):
     rc, _, err = run(capsys, "gen", "--k", "3")
     assert rc == 2
     assert "--n is required" in err
+
+
+# ---- the report writer ----
+
+
+def _library(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_texts = st.text() | st.sampled_from(
+    ['"', "\\", 'say "hi"\n', "\x00\x1f\x7f", "\t\r\b\f", "\u00e9t\u00e9", "\u2028", "\U0001f600", ""]
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-(2**64))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324])
+    | _texts
+)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), max_size=6)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_values)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_library(value):
+    assert cli._encode(value) == _library(value)
+
+
+def test_writer_edge_cases():
+    for value in ([], {}, [[]], {"a": {}}, [True, False, None], [1, True], [0, 1.5],
+                  {"b": [1, 2], "a": [-3, 2**70]}, "caf\u00e9 \"x\"\n", float("nan")):
+        assert cli._encode(value) == _library(value)
+    assert cli._encode([True, False]) == "[\n  true,\n  false\n]"
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"},
+    {"a": {None: 1}},
+    {"a": (1, 2)},
+    [1, {2, 3}],
+    {"a": object()},
+])
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._encode(value)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_every_corpus_report_matches_the_library(corpus_dir, capsys, name):
+    path = str(corpus_dir / f"{name}.json")
+    code = str(corpus_dir / f"{name}.code.json")
+    for argv in (
+        ["solve", path, "--emit-code", code],
+        ["verify", path, "--code", code],
+        ["bounds", path],
+        ["bounds", path, "--greedy", "--with-exact-solve"],
+        ["complexity", path],
+        ["oracle", path, "--max-length", "3"],
+    ):
+        rc, out, err = run(capsys, *argv, "--json")
+        assert (rc, err) == (0, ""), argv
+        assert out == _library(json.loads(out)) + "\n", argv
+
+
+# ---- work per call ----
+
+
+def _count_calls(monkeypatch, counts, *sites):
+    """Wrap each (module, name) binding so that calls add to counts[name]."""
+    for module, name in sites:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_verify_decodes_each_receiver_once(corpus_dir, capsys, monkeypatch):
+    path = str(corpus_dir / "ex2.json")
+    code = str(corpus_dir / "ex2.code.json")
+    assert run(capsys, "solve", path, "--emit-code", code)[0] == 0
+    counts = {}
+    _count_calls(monkeypatch, counts, (codec, "express_in_span"), (codec, "check_support"))
+    rc, rep, _ = run_json(capsys, "verify", path, "--code", code)
+    assert rc == 0 and rep["results"]["valid"] is True
+    assert counts == {"express_in_span": 6, "check_support": 1}  # K = 6
+
+
+def test_solve_fits_its_witness_once(corpus_dir, capsys, monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, counts, (hypergraph, "fits"), (solver, "fits"), (codec, "fits"))
+    assert run(capsys, "solve", str(corpus_dir / "ex2.json"), "--json")[0] == 0
+    assert sum(counts.values()) == 1
+
+
+@pytest.mark.parametrize("argv, derive_stats, stores_of", [
+    (["solve"], 0, 0),
+    (["oracle", "--max-length", "4"], 1, 6),  # derive_stats' own K = 6 calls
+])
+def test_availability_is_derived_once(corpus_dir, capsys, monkeypatch, argv, derive_stats, stores_of):
+    counts = {}
+    sites = [(m, "derive_stats") for m in (cli, solver, instance)] + [(Instance, "stores_of")]
+    _count_calls(monkeypatch, counts, *sites)
+    command, *flags = argv
+    assert run(capsys, command, str(corpus_dir / "ex2.json"), *flags)[0] == 0
+    assert counts.get("derive_stats", 0) == derive_stats
+    assert counts.get("stores_of", 0) == stores_of

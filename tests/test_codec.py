@@ -139,6 +139,7 @@ def test_modes_agree_on_random_codes():
             code = LinearCode(K=inst.K, senders=tuple(senders))
             algebraic = verify_code(code, inst, mode="algebraic")
             assert algebraic == verify_code(code, inst, mode="simulate")
+            assert codec.verdicts(code, inst) == (algebraic, algebraic)
             if not algebraic:
                 with pytest.raises(UndecodableCodeError):
                     code_to_fitting(code, inst)
@@ -152,6 +153,7 @@ def test_round_trip_through_solver_witness():
     for inst in random_suite(20):
         report = hyperminrank(inst)
         code = code_from_fitting(report.witness, inst)
+        assert codec.spanning_code(report.witness) == code
         assert code_length(code) == report.hyperminrank
         assert verify_code(code, inst, mode="simulate")
         back = code_to_fitting(code, inst)
@@ -244,4 +246,5 @@ def test_wrong_decode_plan_fails_the_simulation(K, monkeypatch):
         codec, "express_in_span", lambda target, basis: express_in_span(target, basis) ^ 1
     )
     assert not verify_code(code, inst, mode="simulate")
+    assert codec.verdicts(code, inst) == (True, False)
     assert not _simulate_per_message(code, inst)

@@ -11,14 +11,17 @@ from hypothesis import assume, given, settings
 from conftest import all_choices, fully_replicated, instances, random_suite
 from msic.codec import code_from_fitting, verify_code
 from msic.hypergraph import fits, sub_adjacency
+from msic import solver
 from msic.instance import (
     Instance,
     InstanceValidationError,
     derive_stats,
+    generate_random,
     serialize_instance,
 )
 from msic.oracle import optimal_linear_code_bruteforce
 from msic.solver import (
+    DEFAULT_SEARCH_CAP,
     ComplexityProfile,
     SearchCapError,
     _build_tables,
@@ -226,6 +229,38 @@ def test_search_cap_via_environment(ex1, monkeypatch):
         hyperminrank(ex1)
     monkeypatch.setenv("MSIC_SEARCH_CAP", "9")
     assert hyperminrank(ex1).hyperminrank == 2
+
+
+class _CapPassed(Exception):
+    pass
+
+
+def test_cap_check_reads_the_profile_e1(monkeypatch):
+    # The cap check computes E1 on its own; it must be the profile's E1
+    # exactly: refused at cap E1 - 1, past the check at cap E1.
+    def passed(inst):
+        raise _CapPassed
+
+    monkeypatch.setattr(solver, "_build_tables", passed)
+    rng = random.Random(20)
+    sides = set()
+    for _ in range(80):
+        K = rng.randint(2, 16)
+        inst = generate_random(
+            K, rng.randint(1, 5), delta=rng.choice([0.0, 0.3, 0.7]),
+            r0=rng.randint(0, K - 1), seed=rng.randrange(1 << 30),
+        )
+        e1 = complexity_exponents(inst).e1
+        sides.add(e1 > DEFAULT_SEARCH_CAP)
+        with pytest.raises(SearchCapError) as refused:
+            hyperminrank(inst, cap=e1 - 1)
+        assert str(refused.value) == (
+            f"search exponent E1={e1} exceeds cap {e1 - 1}; "
+            "raise MSIC_SEARCH_CAP or pass a larger cap to proceed"
+        )
+        with pytest.raises(_CapPassed):
+            hyperminrank(inst, cap=e1)
+    assert sides == {False, True}  # instances on both sides of the default cap
 
 
 def test_infeasible_instance_rejected_before_search():
