@@ -54,6 +54,23 @@ elimination while rank + |S| stays below the incumbent.  At the root
 the bound is the MAIS itself, so once the incumbent falls to it the
 search stops: only strict improvements are accepted.
 
+When the greedy seed is above the MAIS, the root stop uses a sender-group
+bound instead, if it is larger (in the spirit of Li, Ong and Johnson's
+cooperative multi-sender index coding, IEEE Trans. IT 2019).  Split the
+senders into groups, and let R_g be the receivers whose demand has every
+holder in group g.  Sum the blocks of group g.  For k and m in R_g,
+no sender outside g stores m, so bit m of the summed row k is bit m of
+the sum over every sender: 1 for m = k, and 0 when k does not know m.
+So the sum, restricted to the rows and columns of R_g, fits G[R_g],
+the side-information digraph on R_g, and its rank is at least
+MAIS(G[R_g]).  The rank of a sum is at most the sum of the ranks, and
+the groups are disjoint, so the summed block ranks are at least B =
+the sum over g of MAIS(G[R_g]).  The search takes the larger B of two
+partitions (`_group_bound`): every sender alone, and the components
+that shared demand holders join.  When every two receivers share a
+holder, at most one group has receivers, so B is at most the MAIS and
+is not computed.
+
 One search stores at most VISITED_STATE_CAP = 65,536 keys over all
 levels.  Past the cap keys are still looked up but no longer added, so
 the search stays exact and deterministic.  A key is an int of at most
@@ -91,7 +108,8 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, combinations
 from operator import xor
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -241,6 +259,7 @@ class _ReceiverTable:
     range(count).  `demand` is the receiver's message bit and `parity`
     (sigma) adds the bits of the messages it does not know: the
     coordinates whose sums over the senders the fitting criterion fixes.
+    `holders` has bit n - 1 set when sender n stores the demand.
     """
 
     def __init__(self, inst: Instance, k: int):
@@ -264,6 +283,7 @@ class _ReceiverTable:
         gens += [cells((n, 1 << (m - 1))) for m in sorted(known) for n in holders[m - 1]]
         gens += parity_group(k)
         self.demand = 1 << (k - 1)
+        self.holders = sum(1 << (n - 1) for n in holders[k - 1])
         self.parity = sum(1 << (m - 1) for m in unknown) | self.demand
         self.first = cells((holders[k - 1][0], self.demand))
         self.gens = gens
@@ -438,6 +458,40 @@ def _acyclic_sets(knows: List[int]) -> List[int]:
     return sets
 
 
+def _group_bound(holders: Sequence[int], knows: Sequence[int], mais: int) -> int:
+    """max(mais, B): the root bound of the search (see the module docstring).
+
+    holders[k] and knows[k] are the masks of the senders that store the
+    demand of level k and of the levels whose messages it knows; mais is
+    the size of an acyclic set of every level.  B is the larger of the
+    sums of MAIS(G[R_g]) over two partitions of the senders: each sender
+    alone, and the components that shared demand holders join.  Each
+    MAIS is `_acyclic_sets` run on G[R_g].  A single component has the
+    whole MAIS, so it is not recomputed.
+    """
+    masks = set(holders)
+    if all(a & b for a, b in combinations(masks, 2)):
+        return mais  # one group at most has receivers
+    components: List[int] = []
+    for mask in masks:
+        for group in [g for g in components if g & mask]:
+            components.remove(group)
+            mask |= group
+        components.append(mask)
+
+    @cache
+    def group_mais(group: int) -> int:
+        members = [k for k, h in enumerate(holders) if not h & ~group]
+        sub = [sum(1 << i for i, m in enumerate(members) if knows[k] >> m & 1) for k in members]
+        return _acyclic_sets(sub)[0].bit_count()
+
+    # alone, a sender's group holds only the receivers it alone can serve
+    partitions = [[m for m in masks if not m & (m - 1)]]
+    if len(components) > 1:
+        partitions.append(components)
+    return max(mais, *(sum(map(group_mais, groups)) for groups in partitions))
+
+
 def _rank_above(pivots: List[List[int]], mask: int, limit: int) -> bool:
     """Whether every basis row of every sender, masked to `mask`, spans
     more than `limit` dimensions; the elimination stops once it does."""
@@ -524,8 +578,9 @@ def _search(
     With pruning, an inner child is cut first when rank + |sets[child]|,
     less the rank of the bases masked to sets[child] (`_rank_above`),
     reaches the incumbent.  Once a probe brings the incumbent down to
-    |sets[0]|, its frame returns and the loop stops (see the module
-    docstring).
+    the root bound, its frame returns and the loop stops (see the module
+    docstring).  The root bound is |sets[0]|, or `_group_bound` when
+    the incumbent starts above |sets[0]| + 1.
 
     With pruning, an inner child that survives the cut is entered only
     if its state key is new at its level (see the module docstring).
@@ -570,9 +625,12 @@ def _search(
         paths *= tables[child].count
     if prune:
         # a receiver knows the messages outside its table's parity
-        sets = _acyclic_sets([((1 << K) - 1) & ~table.parity for table in tables])
+        knows = [((1 << K) - 1) & ~table.parity for table in tables]
+        sets = _acyclic_sets(knows)
         sizes = [s.bit_count() for s in sets]
         root = sizes[0]
+        if incumbent > root + 1:  # the seed is above the MAIS
+            root = _group_bound([t.holders for t in tables], knows, root)
     else:
         root = -1
 
@@ -694,7 +752,9 @@ def hyperminrank(
 
     One sequential depth-first search over the option tables, seeded
     by a greedy descent, so every field but `elapsed` depends only on
-    the instance and `prune`.
+    the instance and `prune`.  With pruning it stops once the incumbent
+    reaches the root lower bound: the MAIS, or, when the seed is above
+    it, the larger sender-group bound (see the module docstring).
 
     Raises SearchCapError when the advertised exponent exceeds the cap
     (default 34, overridable via the MSIC_SEARCH_CAP variable or `cap`)

@@ -13,31 +13,39 @@ each sender's span, and stores at most `cap` keys; it keys no level
 that only one path reaches.  Before the key is looked up it applies
 the kernel's residual acyclic-set cut, with sets of its own
 (`_reference_acyclic_sets`: combinations and Kahn's check on
-`inst.side_info`), and it stops once the incumbent falls to the root
-set's size.  The current kernel must return the same greedy seed and the
-same (value, option indices, leaves) triple on every instance, with and
-without pruning, over the whole first level and over contiguous
-first-level chunks, and under a patched key cap.
+`inst.side_info`), and it stops once the incumbent falls to its root
+bound (`_reference_root_bound`): the larger of the root set's size and
+the sender-group bounds of two partitions, each sender alone and the
+components that shared demand holders join, each group's MAIS found by
+trying its receivers' subsets with Kahn's check.  The current kernel
+must return the same greedy seed and the same (value, option indices,
+leaves) triple on every instance, with and without pruning, over the
+whole first level and over contiguous first-level chunks, and under a
+patched key cap.
 
 d* itself (`solver._least_increase`) and the option the kernel takes
 for it (`solver._cheapest`) are checked against full enumeration of a
 materialized table, in random search states reached by inserting a
 random prefix of options.  The acyclic sets (`solver._acyclic_sets`)
 are checked against the referee's rule and, for their sizes, against
-the largest acyclic subset found by trying every subset.
+the largest acyclic subset found by trying every subset.  The kernel's
+root bound (`solver._group_bound`) is checked against the brute-force
+maximum over every partition of the senders, against the oracle
+optimum and against the unpruned search.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, combinations, product
 from operator import or_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_instance, fully_replicated, instances, random_suite
 from msic import solver
@@ -152,6 +160,51 @@ def _reference_acyclic_sets(side_info: Sequence[FrozenSet[int]]) -> List[int]:
     return [sum(1 << (k - 1) for k in s) for s in sets]
 
 
+def _mais(side_info: Sequence[FrozenSet[int]], receivers) -> int:
+    """The size of a largest acyclic subset of `receivers`, by Kahn's
+    check on their subsets, largest first."""
+    receivers = sorted(receivers)
+    sizes = range(len(receivers), 0, -1)
+    return next(
+        (r for r in sizes if any(_acyclic(side_info, s) for s in combinations(receivers, r))), 0
+    )
+
+
+def _partition_bound(inst: Instance, groups) -> int:
+    """The sum over the sender groups g of MAIS(G[R_g]), where R_g holds
+    the receivers whose demand has every holder in g."""
+    return sum(
+        _mais(inst.side_info, [k for k in range(1, inst.K + 1) if inst.stores_of(k) <= g])
+        for g in groups
+    )
+
+
+@cache
+def _reference_root_bound(inst: Instance) -> int:
+    """The root set's size, or the larger sender-group bound of two
+    partitions: every sender alone, and the components that shared
+    demand holders join (a union-find over the senders)."""
+    parent = list(range(inst.N + 1))
+
+    def find(n: int) -> int:
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    for k in range(1, inst.K + 1):
+        first, *rest = inst.stores_of(k)
+        for n in rest:
+            parent[find(n)] = find(first)
+    components: Dict[int, Set[int]] = {}
+    for n in range(1, inst.N + 1):
+        components.setdefault(find(n), set()).add(n)
+    singles = [{n} for n in range(1, inst.N + 1)]
+    root = _reference_acyclic_sets(inst.side_info)[0].bit_count()
+    return max(
+        root, _partition_bound(inst, singles), _partition_bound(inst, components.values())
+    )
+
+
 def _reference_search(
     inst: Instance,
     prune: bool,
@@ -167,7 +220,7 @@ def _reference_search(
     state = {"best": incumbent, "combo": None, "leaves": 0, "rank": 0, "stored": 0}
     seen: List[Set[Tuple[FrozenSet[int], ...]]] = [set() for _ in range(K)]
     sets = _reference_acyclic_sets(inst.side_info)
-    root = sets[0].bit_count()
+    root = _reference_root_bound(inst)
 
     def cut(level: int) -> bool:
         """Every completion adds at least |S| minus the rank of the bases
@@ -422,11 +475,19 @@ def _oracle_instances():
 ORACLE_INSTANCES = _oracle_instances()
 
 
+def _root_bounds(inst: Instance) -> Tuple[int, int]:
+    """(|sets[0]|, the kernel's root bound max(|sets[0]|, B)), with B
+    computed whatever the greedy seed."""
+    knows = _knows(inst)
+    mais = solver._acyclic_sets(knows)[0].bit_count()
+    return mais, solver._group_bound([t.holders for t in _build_tables(inst)], knows, mais)
+
+
 @pytest.mark.parametrize("name,inst", ORACLE_INSTANCES, ids=[n for n, _ in ORACLE_INSTANCES])
 def test_root_bound_sits_between_the_clique_bound_and_the_optimum(name, inst):
-    root = solver._acyclic_sets(_knows(inst))[0].bit_count()
+    mais, root = _root_bounds(inst)
     optimum = optimal_linear_code_bruteforce(inst).optimal_length
-    assert complement_clique_lower(inst)[0] <= root <= optimum
+    assert complement_clique_lower(inst)[0] <= mais <= root <= optimum
 
 
 TEN_RECEIVERS = [(name, inst) for name, inst in INSTANCES if name.startswith("random10x4")]
@@ -434,8 +495,59 @@ TEN_RECEIVERS = [(name, inst) for name, inst in INSTANCES if name.startswith("ra
 
 @pytest.mark.parametrize("name,inst", TEN_RECEIVERS, ids=[n for n, _ in TEN_RECEIVERS])
 def test_root_bound_never_exceeds_the_solver_value(name, inst):
-    root = solver._acyclic_sets(_knows(inst))[0].bit_count()
-    assert complement_clique_lower(inst)[0] <= root <= hyperminrank(inst).hyperminrank
+    mais, root = _root_bounds(inst)
+    assert complement_clique_lower(inst)[0] <= mais <= root <= hyperminrank(inst).hyperminrank
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.sampled_from((0.0, 0.3, 0.5, 0.8)),
+    st.integers(0, 5),
+    st.integers(0, 1 << 16),
+)
+@settings(max_examples=100, deadline=None)
+def test_group_bound_is_below_the_oracle_and_the_unpruned_search(K, N, delta, r0, seed):
+    inst = generate_random(K, N, delta, min(r0, K - 1), seed)
+    mais, root = _root_bounds(inst)
+    assert mais <= root
+    if complexity_exponents(inst).e2 <= 14:  # the unpruned walk is 2**E2 leaves
+        assert root <= hyperminrank(inst, prune=False).hyperminrank
+    # The oracle below tries every code shorter than the bound: the sum
+    # over lengths L < root of C(vectors, L) configurations.
+    vectors = sum((1 << len(store)) - 1 for store in inst.sender_stores)
+    assume(sum(math.comb(vectors, L) for L in range(root)) <= 20_000)
+    assert not optimal_linear_code_bruteforce(inst, max_length=root - 1).found
+
+
+def _set_partitions(items: List[int]):
+    """Every partition of `items` into nonempty groups."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [{first}, *partition]
+        for i, group in enumerate(partition):
+            yield [*partition[:i], group | {first}, *partition[i + 1 :]]
+
+
+@given(instances(max_k=8, max_n=4))
+@settings(max_examples=100, deadline=None)
+def test_group_bound_is_at_most_the_best_partition(inst):
+    best = max(
+        _partition_bound(inst, partition)
+        for partition in _set_partitions(list(range(1, inst.N + 1)))
+    )
+    assert _root_bounds(inst)[1] <= best
+
+
+def test_group_bound_meets_the_optimum_of_a_frontier_instance():
+    # the MAIS is 10 and the greedy seed 12, so without the group bound
+    # the search would have to exhaust the tree to prove 11
+    inst = generate_random(12, 4, 0.3, 3, seed=1)
+    assert _root_bounds(inst) == (10, 11)
+    assert hyperminrank(inst, cap=64).hyperminrank == 11
 
 
 def _dense(K: int, N: int, seed: int) -> Instance:
