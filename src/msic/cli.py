@@ -12,14 +12,22 @@ types: dicts with str keys, lists, str, int, bool, None and float.
 Its bytes are those of `json.dumps(report, indent=2, sort_keys=True)`,
 but `indent` would make `json` fall back to its pure-Python encoder,
 while `_encode` escapes strings with the C `encode_basestring_ascii` and
-joins a list of ints in one call.  Any other type raises TypeError.
+joins a list of ints in one call.  A solve's witness and code reach it
+as `_BitRows`: int masks with their width K, each written as the list of
+its K bits from one binary format string, one join per row, so no
+per-bit list is built.  Any other type raises TypeError.
 
 `main` reuses one argument parser per process, built on its first call:
 building it costs far more than parsing, and a process that runs many
 calls (a test suite, the benchmark) would otherwise rebuild it per call.
 Parsing keeps no state between calls, and argparse looks up sys.stdout,
 sys.stderr and the terminal width when it prints, so the output is the
-same as with a fresh parser.
+same as with a fresh parser.  When the first argument names a
+subcommand, `main` hands the rest straight to that subcommand's parser,
+as the top-level parser would after its own scan of argv, and sends any
+leftover arguments to the top-level parser's error; anything else (no
+arguments, -h, --version, an unknown command) goes through the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -31,8 +39,7 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .bounds import clique_cover_upper, complement_clique_lower
@@ -90,7 +97,8 @@ class CLIError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise CLIError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
     except UnicodeDecodeError as exc:
@@ -99,7 +107,8 @@ def _read_text(path: str) -> str:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as file:
+            file.write(text)
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc}", EXIT_PARSE) from None
 
@@ -118,8 +127,28 @@ def _digest(inst: Instance) -> str:
     return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
 
 
-def _bits(mask: int, K: int) -> List[int]:
-    return [(mask >> i) & 1 for i in range(K)]
+class _BitRows(NamedTuple):
+    """Int masks, in lists nested to any depth, that the report writer
+    writes as rows of `width` >= 1 bits: entry i of a row is bit i of
+    its mask."""
+
+    width: int
+    rows: object
+
+
+def _encode_rows(rows: object, fmt: str, full: int, newline: str) -> str:
+    """`_BitRows.rows` as `_encode` writes its masks expanded to bit lists;
+    fmt is the width's binary format and full its all-ones mask."""
+    inner = newline + "  "
+    kind = type(rows)
+    if kind is int:
+        return "[" + inner + ("," + inner).join(format(rows & full, fmt)[::-1]) + newline + "]"
+    if kind is not list:
+        raise TypeError(f"bit rows must be int masks, not {kind.__name__}")
+    if not rows:
+        return "[]"
+    items = [_encode_rows(row, fmt, full, inner) for row in rows]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _float(value: float) -> str:
@@ -161,6 +190,9 @@ def _encode(value: object, newline: str = "\n") -> str:
         else:
             items = map(str, value)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is _BitRows:
+        width = value.width
+        return _encode_rows(value.rows, f"0{width}b", (1 << width) - 1, newline)
     if value is None:
         return "null"
     if value is True:
@@ -234,10 +266,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     results = {
         "hyperminrank": solved.hyperminrank,
         "candidates_examined": solved.candidates_examined,
-        "witness_blocks": solved.witness.to_lists(),
-        "code": [
-            [_bits(vec, inst.K) for vec in vectors] for vectors in code.senders
-        ],
+        "witness_blocks": _BitRows(inst.K, list(map(list, solved.witness.blocks))),
+        "code": _BitRows(inst.K, list(map(list, code.senders))),
         "code_emitted": args.emit_code,
     }
     timings = {"solve_seconds": solved.elapsed, "total_seconds": total}
@@ -444,8 +474,9 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call."""
+def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The one top-level parser of this process and its subcommand
+    parsers by name, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="msic",
         description="Exact multi-sender index coding: solve, bound, verify.",
@@ -453,15 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: Dict[str, argparse.ArgumentParser] = {}
 
-    sp = sub.add_parser("solve", help="exact minimum broadcast length")
+    def add(name: str, handler, help: str) -> argparse.ArgumentParser:
+        sp = commands[name] = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = add("solve", cmd_solve, "exact minimum broadcast length")
     sp.add_argument("instance")
     sp.add_argument("--emit-code", metavar="PATH",
                     help="write the derived code to PATH")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_solve)
 
-    sp = sub.add_parser("bounds", help="clique sandwich bounds")
+    sp = add("bounds", cmd_bounds, "clique sandwich bounds")
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true", default=True,
                      help="exact minimum cover (default)")
@@ -471,29 +507,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--with-exact-solve", action="store_true",
                     help="also solve exactly and check the sandwich")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_bounds)
 
-    sp = sub.add_parser("verify", help="check a code file against an instance")
+    sp = add("verify", cmd_verify, "check a code file against an instance")
     sp.add_argument("instance")
     sp.add_argument("--code", required=True, metavar="PATH")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_verify)
 
-    sp = sub.add_parser("oracle", help="brute-force cross-check of the solver")
+    sp = add("oracle", cmd_oracle, "brute-force cross-check of the solver")
     sp.add_argument("instance")
     sp.add_argument("--max-length", type=int, metavar="L", default=None,
                     help="largest code length to try (default: K)")
     sp.add_argument("--force", action="store_true",
                     help="run past the size guard")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_oracle)
 
-    sp = sub.add_parser("complexity", help="enumeration cost profile")
+    sp = add("complexity", cmd_complexity, "enumeration cost profile")
     sp.add_argument("instance")
     _add_output_flags(sp)
-    sp.set_defaults(handler=cmd_complexity)
 
-    sp = sub.add_parser("gen", help="generate a random valid instance")
+    sp = add("gen", cmd_gen, "generate a random valid instance")
     sp.add_argument("--k", type=int, required=True, help="number of messages")
     sp.add_argument("--n", type=int, help="number of senders")
     sp.add_argument("--delta", type=float, default=0.0,
@@ -507,13 +539,27 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the instance here instead of stdout")
     sp.add_argument("--json", action="store_true",
                     help="print the JSON report instead of the instance")
-    sp.set_defaults(handler=cmd_gen)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
+    return _parsers()[0]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the top-level parser would do, minus its own scan of argv
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
         return args.handler(args)
     except CLIError as exc:

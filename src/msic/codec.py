@@ -121,13 +121,15 @@ def load_code(text: str, inst: Instance) -> LinearCode:
 
 
 def serialize_code(code: LinearCode) -> str:
-    payload = {
-        "code": [
-            [[(vec >> i) & 1 for i in range(code.K)] for vec in vectors]
-            for vectors in code.senders
-        ]
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The code as `json.dumps({"code": bit lists}, sort_keys=True,
+    separators=(",", ":"))` writes it; entry i of a vector's list is its
+    bit i, so bits past K are dropped."""
+    fmt, full = f"0{code.K}b", (1 << code.K) - 1
+    senders = [
+        ["[" + (",".join(format(vec & full, fmt)[::-1]) if full else "") + "]" for vec in vectors]
+        for vectors in code.senders
+    ]
+    return '{"code":[' + ",".join(["[" + ",".join(rows) + "]" for rows in senders]) + "]}"
 
 
 # ---- fitting -> code ----

@@ -83,12 +83,6 @@ class CompositeAdjacency:
     def sum_rank(self) -> int:
         return sum(gf2_rank(block) for block in self.blocks)
 
-    def to_lists(self) -> List[List[List[int]]]:
-        return [
-            [[(row >> j) & 1 for j in range(self.K)] for row in block]
-            for block in self.blocks
-        ]
-
 
 @dataclass(frozen=True)
 class SubChoice:

@@ -399,6 +399,12 @@ def _acyclic_sets(knows: List[int]) -> List[int]:
     level keeps sets[c + 1], still a valid bound, so the solve stays
     exact and deterministic.  Adding u to an acyclic set closes a cycle
     exactly when u reaches, inside the set, a receiver that knows u.
+
+    An acyclic set keeps at most one end of each 2-cycle, so levels
+    c..K-1 hold none larger than K - c less the number of disjoint
+    2-cycles among them.  A greedy matching of mutual pairs, grown as
+    the levels go up, counts such cycles; where that rules out the
+    target, the level is not searched, as the search would find nothing.
     """
     K = len(knows)
     full = (1 << K) - 1
@@ -422,11 +428,22 @@ def _acyclic_sets(knows: List[int]) -> List[int]:
         return bool(reach & known_by[u])
 
     sets = [1 << (K - 1)] * K
+    unmatched = 1 << (K - 1)  # levels above c in no matched 2-cycle
+    pairs = 0
     for c in range(K - 2, -1, -1):
+        partner = knows[c] & known_by[c] & unmatched
+        if partner:
+            unmatched ^= partner & -partner
+            pairs += 1
+        else:
+            unmatched |= 1 << c
         if not closes_cycle(c, sets[c + 1]):
             sets[c] = sets[c + 1] | 1 << c
             continue
         target = sets[c + 1].bit_count() + 1
+        if K - c - pairs < target:
+            sets[c] = sets[c + 1]
+            continue
         chosen = 1 << c
         size = 1
         # stack[i] holds the candidates left to follow members[i].

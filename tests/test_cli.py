@@ -111,6 +111,14 @@ def test_solve_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("flag", [None, "--code"])
+def test_empty_path_exits_2(corpus_dir, capsys, flag):
+    argv = ["verify", str(corpus_dir / "ex1.json"), flag, ""] if flag else ["solve", ""]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: cannot read : [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "ex1.json", "--emit-code"),
     ("solve", "ex1.json", "--out"),
@@ -406,6 +414,53 @@ def test_reused_parser_leaks_nothing_between_calls(corpus_dir, capsys, monkeypat
     assert json.loads(fresh[3][1])["arguments"].get("greedy") is False
 
 
+PARSE_CASES = [
+    [], ["-h"], ["--version"], ["--vers"], ["--js"], ["--"], ["frob", "x.json"],
+    ["solve"], ["solve", "-h"], ["solve", "x.json"], ["solve", "x.json", "--js"],
+    ["solve", "--json", "x.json", "--emit-code", "c.json", "--out", "r.json"],
+    ["solve", "--", "x.json"], ["solve", "x.json", "--", "y"], ["solve", "x.json", "extra", "more"],
+    ["solve", "x.json", "--version"], ["verify", "x.json"], ["verify", "x.json", "--code", "c.json"],
+    ["bounds", "x.json", "--greedy", "--exact"], ["bounds", "x.json", "--greedy", "--with-exact-solve"],
+    ["oracle", "x.json", "--max-length", "two"], ["gen", "--k", "3", "--n", "2", "--json"],
+]
+
+
+def _parse_outcome(capsys, parse):
+    """(namespace without its handler, SystemExit code, stdout, stderr)."""
+    args = code = None
+    try:
+        args = parse()
+    except SystemExit as exc:
+        code = exc.code
+    if args is not None:
+        args = {key: value for key, value in vars(args).items() if key != "handler"}
+    captured = capsys.readouterr()
+    return args, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    # argparse wraps usage and help text to COLUMNS; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = cli._parsers()[1]
+    handlers = {name: sp.get_default("handler") for name, sp in commands.items()}
+    seen = []
+
+    def parse_in_main():
+        main(argv)
+        return seen.pop()
+
+    try:
+        for sp in commands.values():
+            sp.set_defaults(handler=lambda args: seen.append(args) or 0)
+        direct = _parse_outcome(capsys, parse_in_main)
+        reference = _parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    finally:
+        for name, sp in commands.items():
+            sp.set_defaults(handler=handlers[name])
+    assert direct == reference
+
+
 def test_bounds_greedy_dominates(corpus_dir, capsys):
     _, exact_rep, _ = run_json(capsys, "bounds", str(corpus_dir / "ex1.json"), "--exact")
     _, greedy_rep, _ = run_json(capsys, "bounds", str(corpus_dir / "ex1.json"), "--greedy")
@@ -529,7 +584,33 @@ def test_writer_edge_cases():
     assert cli._encode([True, False]) == "[\n  true,\n  false\n]"
 
 
+def _expand_bits(rows, width):
+    if type(rows) is int:
+        return [(rows >> i) & 1 for i in range(width)]
+    return [_expand_bits(row, width) for row in rows]
+
+
+@st.composite
+def _bit_rows(draw):
+    width = draw(st.integers(min_value=1, max_value=70))
+    masks = st.integers(min_value=-(2**80), max_value=2**80) | st.sampled_from([0, (1 << width) - 1])
+    return width, draw(st.recursive(masks, lambda inner: st.lists(inner, max_size=4), max_leaves=16))
+
+
+@given(_bit_rows(), st.lists(st.sampled_from(["list", "dict"]), max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_bit_rows_match_the_library(case, nesting):
+    width, rows = case
+    value, expanded = cli._BitRows(width, rows), _expand_bits(rows, width)
+    for kind in nesting:
+        value, expanded = ([1, value], [1, expanded]) if kind == "list" else ({"b": value}, {"b": expanded})
+    assert cli._encode(value) == _library(expanded)
+
+
 @pytest.mark.parametrize("value", [
+    cli._BitRows(3, [1, (2, 3)]),
+    {"a": cli._BitRows(3, [[True]])},
+    cli._BitRows(3, "101"),
     {1: "a"},
     {"a": {None: 1}},
     {"a": (1, 2)},

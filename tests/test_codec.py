@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import corpus_text, random_suite
 from msic import codec
@@ -37,6 +40,21 @@ def test_load_serialize_round_trip(ex1):
         code = load_corpus_code(name, ex1)
         again = load_code(serialize_code(code), ex1)
         assert again == code
+
+
+@st.composite
+def _codes(draw):
+    K = draw(st.integers(min_value=0, max_value=70))
+    vectors = st.integers(min_value=-(2**80), max_value=2**80) | st.sampled_from([0, (1 << K) - 1])
+    senders = st.lists(st.lists(vectors, max_size=4).map(tuple), max_size=4).map(tuple)
+    return LinearCode(K=K, senders=draw(senders))
+
+
+@given(_codes())
+@settings(max_examples=300, deadline=None)
+def test_serialize_code_matches_the_library(code):
+    bits = [[[(vec >> i) & 1 for i in range(code.K)] for vec in vectors] for vectors in code.senders]
+    assert serialize_code(code) == json.dumps({"code": bits}, sort_keys=True, separators=(",", ":"))
 
 
 def test_load_rejects_malformed(ex1):

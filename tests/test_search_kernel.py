@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from functools import cache, reduce
 from itertools import chain, combinations, product
 from operator import or_
@@ -465,6 +466,35 @@ def test_acyclic_sets_are_maximum(name, inst):
 @settings(max_examples=150, deadline=None)
 def test_acyclic_sets_are_maximum_on_any_instance(inst):
     _check_acyclic_sets(inst)
+
+
+@st.composite
+def _mutual_digraphs(draw):
+    """Side information of K <= 9 receivers, rich in 2-cycles."""
+    K = draw(st.integers(min_value=2, max_value=9))
+    arcs = draw(st.sets(st.tuples(st.integers(1, K), st.integers(1, K)).filter(lambda a: a[0] != a[1])))
+    mutual = draw(st.sets(st.tuples(st.integers(1, K), st.integers(1, K)).filter(lambda a: a[0] != a[1])))
+    arcs |= mutual | {(b, a) for a, b in mutual}
+    return [frozenset(m for k2, m in arcs if k2 == k) for k in range(1, K + 1)]
+
+
+@given(_mutual_digraphs())
+@settings(max_examples=200, deadline=None)
+def test_acyclic_sets_are_maximum_on_mutual_digraphs(side_info):
+    K = len(side_info)
+    sets = solver._acyclic_sets([sum(1 << (m - 1) for m in known) for known in side_info])
+    assert sets == _reference_acyclic_sets(side_info)
+    assert [s.bit_count() for s in sets] == [_mais(side_info, range(c + 1, K + 1)) for c in range(K)]
+
+
+def test_acyclic_sets_skip_levels_that_mutual_pairs_rule_out():
+    # receivers 2i-1 and 2i know each other: 600 disjoint 2-cycles, so
+    # no level from the second down can grow its set, and none is searched
+    K = 1200
+    started = time.process_time()
+    sets = solver._acyclic_sets([1 << (k ^ 1) for k in range(K)])
+    assert time.process_time() - started < 1.0
+    assert [s.bit_count() for s in sets] == [(K - c + 1) // 2 for c in range(K)]
 
 
 def _oracle_instances():
