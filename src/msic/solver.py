@@ -4,8 +4,17 @@ The search walks the Cartesian product of per-receiver selections
 (odd demand subsets x any cached subset x even coupled sender sets per
 unknown message), maintaining one XOR basis per sender so each block's
 rank updates incrementally.  A basis is a list of K pivot slots indexed
-by bit position; rows are inserted in place and undone by zeroing the
-slot they filled.
+by bit position.  The bases above a level stay the same for its whole
+loop, so the loop walks the level's options as a coset modulo them.  A
+receiver's options are an affine space (see below) and reduction
+modulo a row space is linear, so option idx + 1, reduced, is option
+idx, reduced, XOR one reduced sum of generators.  A reduced row is
+nonzero exactly when it adds one to its sender's rank, so the rank an
+option adds is its count of nonzero reduced rows, and an option whose
+count reaches the room left below the incumbent is cut inside the
+walk, without touching a basis.  A surviving option's reduced rows
+have no bit at any pivot, so each goes straight into the slot of its
+top bit and is undone by zeroing that slot.
 
 The last receiver's options are never inserted.  The
 fitting criterion ties the senders together only through parities: the
@@ -21,7 +30,7 @@ of every sender: one elimination over at most K bits.  Otherwise d* = 1,
 since option 0 (the demand at its first holder, nothing else) adds at
 most one.  So a probe of the last level counts all its options as
 leaves and then either skips (rank + d* reaches the incumbent), takes
-option 0 (d* = 1), or scans lazily, in canonical order, to the first
+option 0 (d* = 1), or walks, in canonical order, to the first
 option that adds nothing (d* = 0): the option a full enumeration would
 end on.  The greedy seed picks its options the same way, and with
 pruning an inner level whose room has fallen to one returns at once
@@ -49,8 +58,13 @@ every sender masked to the columns S.  Every completion adds at least
 masked to S has bit k and no bit of a message k does not know, so these
 sums form a unit triangular block on S; project the final row spaces
 onto S, then take the quotient by the current ones.  The cut is tested
-before an inner child's state key is looked up or stored, with no
-elimination while rank + |S| stays below the incumbent.  At the root
+before an inner child's state key is looked up or stored.  The rows
+above a level are fixed for its loop, so the first option the cut tests
+eliminates them, masked to S, once for the loop, and each option then
+reduces only its own masked rows against a copy.  There is no
+elimination while rank + |S| stays below the incumbent, nor when the
+bound still reaches the incumbent with one added to r for each of the
+option's nonzero masked rows.  At the root
 the bound is the MAIS itself, so once the incumbent falls to it the
 search stops: only strict improvements are accepted.
 
@@ -78,12 +92,14 @@ b = 1 + K(K + 1) + N bits and costs about 56 + b / 7.5 bytes with its
 set slot (CPython 3.11), so the sets take at most 4.5 MB at K = 10,
 N = 4 (b = 115) and 13.8 MB at K = N = 34 (b = 1225).
 
-No table stores its options.  The search scans a level lazily, and
-keeps the level's rows for its later entries only once a loop over
-the whole level has run to its end.  A level that only one path
-reaches is entered once and never kept.  So the rows one search
-stores never exceed the options it has scanned: its memory is bounded
-by its work, not by the size of its tables.
+No table stores its options, and the search stores no rows but the
+bases.  A level's loop computes its first option from the generators,
+reduces each sum of generators the first time a step uses it, and
+steps with one XOR of the option's rows packed into one int.  Beyond
+the bases, a live loop holds at most one reduced sum per generator of
+its table and the masked basis of the residual cut, so the search's
+memory is bounded by K, N and the depth, not by the size of its
+tables.
 
 The canonical order on selections lives here and nowhere else: in the
 option tables built by `_ReceiverTable`.  It is the ascending order of
@@ -109,9 +125,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import xor
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Not called here; only bench/pin.py reads it.
 from .gf2 import basis_add  # noqa: F401
@@ -251,14 +267,13 @@ class _ReceiverTable:
     order, and index order is the order of the (demand mask, cached
     mask, coupled masks...) keys (see the module docstring).
 
-    The table stores no option.  `row` computes any one, and `scan`
-    walks any range of them lazily: idx + 1 is idx with its t trailing
-    ones cleared and bit t set, so each step XORs in flips[t], the XOR
-    of gens[:t + 1].  Only the search keeps rows (see `_search`).
-    Options are numbered in canonical order, so `keys` is
-    range(count).  `demand` is the receiver's message bit and `parity`
-    (sigma) adds the bits of the messages it does not know: the
-    coordinates whose sums over the senders the fitting criterion fixes.
+    The table stores no option.  `row` computes any one, and the search
+    walks a range of them modulo its bases (`_walk`), one XOR of
+    flips[t], the XOR of gens[:t + 1], per step.  Options are numbered
+    in canonical order, so `keys` is range(count).  `demand` is the
+    receiver's message bit and `parity` (sigma) adds the bits of the
+    messages it does not know: the coordinates whose sums over the
+    senders the fitting criterion fixes.
     `holders` has bit n - 1 set when sender n stores the demand.
     """
 
@@ -295,20 +310,11 @@ class _ReceiverTable:
         """Option idx, computed, not stored: `first` XOR the generators
         that idx's bits pick."""
         row = self.first
-        for i, gen in enumerate(self.gens):
-            if idx >> i & 1:
-                row = _xor(row, gen)
+        while idx:
+            low = idx & -idx
+            row = _xor(row, self.gens[low.bit_length() - 1])
+            idx ^= low
         return row
-
-    def scan(self, indices: range) -> Iterator[Tuple[int, ...]]:
-        """The rows of options `indices` (a unit-step range), in index
-        order, one tuple XOR per step."""
-        flips = self.flips
-        row = self.row(indices.start)
-        yield row
-        for idx in range(indices.start, indices.stop - 1):
-            row = tuple(map(xor, row, flips[(idx ^ (idx + 1)).bit_length() - 1]))
-            yield row
 
 
 def _build_tables(inst: Instance) -> List[_ReceiverTable]:
@@ -316,6 +322,88 @@ def _build_tables(inst: Instance) -> List[_ReceiverTable]:
 
 
 # ---- the search itself ----
+
+
+def _pack(rows: Sequence[int], width: int) -> int:
+    """Per-sender rows as one int: sender n's row at bit n * width, n
+    from 0.  The search packs N rows of K bits with width K + 1, so that
+    one XOR steps every sender's row at once (`_walk`)."""
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << width | row
+    return packed
+
+
+def _unpack(packed: int, K: int, N: int) -> List[int]:
+    """The N rows of K bits that `_pack` packed with width K + 1."""
+    return [packed >> shift & ((1 << K) - 1) for shift in range(0, N * (K + 1), K + 1)]
+
+
+@cache
+def _packing(K: int, N: int) -> Tuple[int, int, int]:
+    """(width, spare, ones) of the search's packing of N rows of K bits:
+    spare has the bit above each row set and ones the K bits of each
+    row.  (packed + ones) & spare keeps the spare bit of every nonzero
+    row, since adding K ones carries into it exactly then."""
+    width = K + 1
+    spare = _pack((1 << K,) * N, width)
+    return width, spare, spare - _pack((1,) * N, width)
+
+
+def _modulo(pivots: List[List[int]], rows: Sequence[int]) -> int:
+    """`rows` modulo the bases, packed (`_pack`): each sender's row with
+    every pivot bit cleared by that sender's basis rows, so it keeps
+    only bits at empty slots.  That is the one such representative of
+    the row's coset modulo the sender's span, so the map is linear, and
+    a row adds one to its sender's rank exactly when its result is
+    nonzero."""
+    width = len(pivots[0]) + 1
+    packed = 0
+    for pv, row in zip(reversed(pivots), reversed(rows)):
+        packed <<= width
+        while row:
+            p = row.bit_length() - 1
+            v = pv[p]
+            if v:
+                row ^= v
+            else:
+                packed |= 1 << p
+                row ^= 1 << p
+    return packed
+
+
+def _walk(
+    pivots: List[List[int]], table: _ReceiverTable, indices: range, room: List[int]
+) -> Iterator[Tuple[int, int, int]]:
+    """(idx, rank increase, rows) for the options `indices` (a unit-step
+    range) of `table` modulo the bases, in index order, whose increase
+    is below room[0]; the caller may lower room[0] between steps.
+
+    rows is `_modulo` of option idx, and the increase is its count of
+    nonzero rows (`_packing`).  idx + 1 is idx with its t trailing ones
+    cleared and bit t set, so option idx + 1 is option idx XOR flips[t],
+    the XOR of gens[:t + 1].  Reduction is linear, so the same holds
+    modulo the bases, and each step is one XOR of packed rows.  Each
+    flips[t] is reduced the first time a step uses it.  The bases must
+    be the same at every step.
+    """
+    _, spare, ones = _packing(len(pivots[0]), len(pivots))
+    flips = table.flips
+    reduced: List[Optional[int]] = [None] * len(flips)
+    start = indices.start
+    rows = 0
+    for idx in indices:
+        if idx == start:
+            rows = _modulo(pivots, table.row(idx))
+        else:
+            t = (idx & -idx).bit_length() - 1
+            flip = reduced[t]
+            if flip is None:
+                flip = reduced[t] = _modulo(pivots, flips[t])
+            rows ^= flip
+        increase = ((rows + ones) & spare).bit_count()
+        if increase < room[0]:
+            yield idx, increase, rows
 
 
 def _least_increase(pivots: List[List[int]], table: _ReceiverTable) -> int:
@@ -357,9 +445,11 @@ def _cheapest(
     increase is the least there, if it is below `room`; else None.
 
     No option adds less than d* (`_least_increase`), so nothing is
-    scanned when d* >= room, and the scan stops at the first option that
+    walked when d* >= room, and the walk stops at the first option that
     adds d*.  Over the whole table that is option 0 when d* = 1, and the
-    first option that adds nothing when d* = 0.
+    first option that adds nothing when d* = 0.  An option adds one per
+    sender whose row is nonzero modulo the bases, and the walk yields
+    only options below the room, which falls to each one found (`_walk`).
     """
     floor = _least_increase(pivots, table)
     if floor >= room:
@@ -367,22 +457,12 @@ def _cheapest(
     if floor and indices.start == 0 < indices.stop:
         return 1, 0  # option 0 puts the demand at its first holder only
     found = None
-    for idx, rows in zip(indices, table.scan(indices)):
-        delta = 0
-        for pv, row in zip(pivots, rows):
-            while row:
-                v = pv[row.bit_length() - 1]
-                if not v:
-                    delta += 1
-                    break
-                row ^= v
-            if delta >= room:
-                break
-        else:
-            found = delta, idx
-            if delta == floor:
-                break
-            room = delta
+    below = [room]
+    for idx, delta, _ in _walk(pivots, table, indices, below):
+        found = delta, idx
+        if delta == floor:
+            break
+        below[0] = delta
     return found
 
 
@@ -509,25 +589,52 @@ def _group_bound(holders: Sequence[int], knows: Sequence[int], mais: int) -> int
     return max(mais, *(sum(map(group_mais, groups)) for groups in partitions))
 
 
-def _rank_above(pivots: List[List[int]], mask: int, limit: int) -> bool:
-    """Whether every basis row of every sender, masked to `mask`, spans
-    more than `limit` dimensions; the elimination stops once it does."""
-    basis = [0] * len(pivots[0])
-    rank = 0
+def _masked_rank(basis: Dict[int, int], rows: Iterable[int], mask: int, limit: int) -> int:
+    """The rank of `basis` ({pivot bit: row}) and `rows` masked to
+    `mask`.  The rows go into `basis` in place, and the elimination
+    stops once the rank exceeds `limit`."""
+    for row in rows:
+        row &= mask
+        while row:
+            p = row.bit_length() - 1
+            v = basis.get(p)
+            if v is None:
+                basis[p] = row
+                if len(basis) > limit:
+                    return len(basis)
+                break
+            row ^= v
+    return len(basis)
+
+
+def _state_key(pivots: List[List[int]], width: int) -> int:
+    """The bases as one int (see `_search`): a leading 1 bit, then for
+    each sender its rows in reduced row echelon form in pivot order,
+    each as a 1 flag bit and its width - 1 row bits, and a closing 0
+    bit.  Only the filled slots are read.
+
+    The rows are taken in ascending pivot order.  A reduced row has no
+    bit at a lower pivot and none above its own, so XORing it into a
+    later row clears that pivot's bit and no other pivot's: each pivot
+    bit a row has below its own costs one XOR.
+    """
+    flag = 1 << (width - 1)
+    key = 1
     for pv in pivots:
+        reduced = {}  # pivot: the reduced row of the rows so far
+        below = 0  # their pivot bits
         for row in filter(None, pv):
-            row &= mask
-            while row:
-                p = row.bit_length() - 1
-                v = basis[p]
-                if not v:
-                    basis[p] = row
-                    rank += 1
-                    if rank > limit:
-                        return True
-                    break
-                row ^= v
-    return False
+            hit = row & below
+            while hit:
+                q = hit.bit_length() - 1
+                row ^= reduced[q]
+                hit ^= 1 << q
+            p = row.bit_length() - 1
+            reduced[p] = row
+            below |= 1 << p
+            key = key << width | flag | row
+        key <<= 1
+    return key
 
 
 def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
@@ -538,22 +645,19 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     lets the exact pass prune hard from the start.  Any seed >= the
     true minimum keeps the canonically-first witness reachable, so this
     never changes the reported result.  The smallest increase is d*,
-    0 or 1 (`_least_increase`), so each level takes option 0 or scans
-    to its first option that adds nothing; no table is scanned whole.
+    0 or 1 (`_least_increase`), so each level takes option 0 or walks
+    to its first option that adds nothing; no table is walked whole.
+    The option's rows go in modulo the bases (`_modulo`), each into the
+    slot of its top bit, as in `_search`.
     """
     K = len(tables)
     pivots = [[0] * K for _ in range(N)]
     total = 0
     for table in tables:
         delta, idx = _cheapest(pivots, table, range(table.count), N + 1)
-        for pv, row in zip(pivots, table.row(idx)):
-            while row:
-                p = row.bit_length() - 1
-                v = pv[p]
-                if not v:
-                    pv[p] = row
-                    break
-                row ^= v
+        for pv, row in zip(pivots, _unpack(_modulo(pivots, table.row(idx)), K, N)):
+            if row:
+                pv[row.bit_length() - 1] = row
         total += delta
     return total
 
@@ -572,19 +676,24 @@ def _search(
     A frame is a `descend` generator over one level's options:
     where it would enter a child, it yields (child, indices, rank), and
     the loop at the end pushes a frame for that child, pops a frame once
-    it is exhausted and resumes the one below.  A frame keeps its undo
-    state in its own locals, so it undoes its option's rows when it
-    resumes, as a returning call would.
+    it is exhausted and resumes the one below.  A frame takes its
+    option's rows out of the bases when it resumes, as a returning call
+    would, so the bases are the same at every option of one frame.
 
     Sender n's XOR basis is pivots[n], a list of K slots indexed by the
-    pivot bit (0 = empty slot).  Above the last level each row is
-    reduced and inserted in place; the slots it filled are recorded in
-    the level's undo lists and zeroed on the way back.  With pruning,
-    insertion stops as soon as the rank reaches the incumbent, since
-    that option is cut anyway, and a level stops once its parent's rank
-    alone reaches it, or once the room left is one and its d* is 1
-    (`_least_increase`): then every option left would be cut, so no leaf
-    and no state key changes.
+    pivot bit (0 = empty slot).  A frame walks its options modulo those
+    fixed bases (`_walk`): one XOR of packed rows per option, and an
+    option adds one rank per sender whose reduced row is nonzero.  With
+    pruning, the walk itself cuts an option when that count reaches the
+    room left below the incumbent, so a cut option touches no slot and
+    reaches no code of the frame.  Only a survivor's probe or subtree
+    can lower the incumbent, so the frame lowers the walk's room after
+    each survivor.  A survivor's nonzero reduced rows have no bit at a
+    pivot, so each goes straight from the packed rows into the slot of
+    its top bit and is zeroed from there on the way back.  A level stops
+    once its parent's rank alone reaches the incumbent, or once the room
+    left is one and its d* is 1 (`_least_increase`): then every option
+    left would be cut, so no leaf and no state key changes.
 
     The last level is only probed, through d* (see the module
     docstring): every last-level option counts as a leaf, also when the
@@ -593,44 +702,45 @@ def _search(
     below the room (`_cheapest`).
 
     With pruning, an inner child is cut first when rank + |sets[child]|,
-    less the rank of the bases masked to sets[child] (`_rank_above`),
-    reaches the incumbent.  Once a probe brings the incumbent down to
-    the root bound, its frame returns and the loop stops (see the module
-    docstring).  The root bound is |sets[0]|, or `_group_bound` when
-    the incumbent starts above |sets[0]| + 1.
+    less the rank r of the bases masked to sets[child], reaches the
+    incumbent.  The bases above the level are fixed for the frame, so
+    the first option the cut tests eliminates them once (`_masked_rank`)
+    and later options reduce only their own masked rows, against a copy,
+    unless the bound reaches the incumbent with one added to r per
+    nonzero masked row, read off the packed rows.  That elimination
+    stops once r exceeds the largest slack any option of the frame can
+    have (an option adds at most N, and less than the room); the
+    incumbent only falls, so from then on no option of the frame is
+    cut.  Once a probe brings the incumbent down to the root bound, its
+    frame returns and the loop stops (see the module docstring).  The
+    root bound is |sets[0]|, or `_group_bound` when the incumbent starts
+    above |sets[0]| + 1.
 
     With pruning, an inner child that survives the cut is entered only
     if its state key is new at its level (see the module docstring).
-    The key is an int: a leading 1 bit, then for each sender in order
-    its reduced row echelon rows in pivot order, each as a 1 flag bit
-    and K row bits, and a closing 0 bit.  seen[c] holds the keys of
-    level c, at most VISITED_STATE_CAP of them over all levels.  Levels
-    above first_keyed have one path into them and are not keyed.
+    The key is an int built from the filled slots (`_state_key`).
+    seen[c] holds the keys of level c, at most VISITED_STATE_CAP of them
+    over all levels.  Levels above first_keyed have one path into them
+    and are not keyed.
 
-    A level's options are scanned lazily (`_ReceiverTable.scan`) until
-    a loop over the level runs to its end without returning early; then
-    kept[level] stores the level's rows, and later entries read them.
-    Only levels from first_keyed on are kept: the others are entered at
-    most once.  So the rows kept never exceed the options scanned.
+    No rows are stored beyond the bases and, per live frame, its masked
+    basis and the reduced flips its walk has used.  `first_range` is
+    any unit-step range of first-level options, not only the whole
+    level.
     """
     K = len(tables)
     last = K - 1
     last_table = tables[last]
     full = [range(table.count) for table in tables]
     pivots = [[0] * K for _ in range(N)]
-    undo_pivots = [[pivots[0]] * N for _ in range(K)]
-    undo_slots = [[0] * N for _ in range(K)]
     combo = [0] * K
     best = incumbent
     found: Optional[Tuple[int, ...]] = None
     leaves = 0
-    unlimited = N + 1
-    bits = [1 << p for p in range(K)]
-    flag = 1 << K
-    width = K + 1
+    width, spare, ones = _packing(K, N)
+    row_mask = (1 << K) - 1
     seen = [set() for _ in range(K)]
     stored = 0
-    kept: List[Optional[List[Tuple[int, ...]]]] = [None] * K
     # A level with one path into it is entered at most once, so its key
     # could never match: keying starts at the first level with more.
     first_keyed = last
@@ -645,6 +755,7 @@ def _search(
         knows = [((1 << K) - 1) & ~table.parity for table in tables]
         sets = _acyclic_sets(knows)
         sizes = [s.bit_count() for s in sets]
+        spreads = [_pack((s,) * N, width) for s in sets]
         root = sizes[0]
         if incumbent > root + 1:  # the seed is above the MAIS
             root = _group_bound([t.holders for t in tables], knows, root)
@@ -663,75 +774,63 @@ def _search(
     def descend(level: int, indices: range, rank: int) -> Iterator[Tuple[int, range, int]]:
         nonlocal stored
         table = tables[level]
-        touched = undo_pivots[level]
-        slots = undo_slots[level]
         child = level + 1
         visited = seen[child]
-        floor = None  # d* of this level, found once the room falls to 1
-        for idx, rows in zip(indices, kept[level] or table.scan(indices)):
-            if prune:
-                room = best - rank
-                if room == 1:
-                    if floor is None:
-                        floor = _least_increase(pivots, table)
-                    if floor:
-                        return  # every option left adds one: all are cut
-                elif room <= 0:
-                    return
-            else:
-                room = unlimited
-            added = 0
-            for pv, row in zip(pivots, rows):
-                while row:
-                    p = row.bit_length() - 1
-                    v = pv[p]
-                    if not v:
-                        pv[p] = row
-                        touched[added] = pv
-                        slots[added] = p
-                        added += 1
-                        break
-                    row ^= v
-                else:
-                    continue  # dependent row: nothing inserted
-                if added >= room:
-                    break  # cut: the rank reached the incumbent
-            else:
-                combo[level] = idx
-                if child == last:
-                    probe(full[last], rank + added)
-                    if best <= root:
-                        return  # no later option can improve on it
-                elif (
-                    prune
-                    and (slack := rank + added + sizes[child] - best) >= 0
-                    and not _rank_above(pivots, sets[child], slack)
+        basis = None  # the bases masked to sets[child], eliminated once
+        # the walk cuts an option whose increase reaches the room
+        room = [best - rank if prune else N + 1]
+        if room[0] == 1 and _least_increase(pivots, table):
+            return  # every option adds one: all are cut
+        for idx, added, packed in _walk(pivots, table, indices, room):
+            if prune and child < last and (slack := rank + added + sizes[child] - best) >= 0:
+                if basis is None:
+                    # no option of this frame has a larger slack
+                    limit = min(rank + N, best - 1) + sizes[child] - best
+                    basis = {}
+                    above = filter(None, chain.from_iterable(pivots))
+                    _masked_rank(basis, above, sets[child], limit)
+                r = len(basis)
+                # each of the option's masked rows adds at most one to r
+                if r + (((packed & spreads[child]) + ones) & spare).bit_count() <= slack or (
+                    r <= slack
+                    and _masked_rank(basis.copy(), _unpack(packed, K, N), sets[child], slack)
+                    <= slack
                 ):
-                    pass  # cut: the residual acyclic-set bound reaches the incumbent
-                elif not prune or child < first_keyed:
+                    continue  # cut: the residual acyclic-set bound reaches the incumbent
+            combo[level] = idx
+            rest = packed
+            for pv in pivots:
+                if not rest:
+                    break
+                row = rest & row_mask
+                if row:
+                    pv[row.bit_length() - 1] = row
+                rest >>= width
+            if child == last:
+                probe(full[last], rank + added)
+                if best <= root:
+                    return  # no later option can improve on it
+            elif not prune or child < first_keyed:
+                yield child, full[child], rank + added
+            else:
+                key = _state_key(pivots, width)
+                if key not in visited:
+                    if stored < VISITED_STATE_CAP:
+                        visited.add(key)
+                        stored += 1
                     yield child, full[child], rank + added
-                else:
-                    key = 1
-                    for pv in pivots:
-                        reduced = []
-                        for bit, row in zip(bits, pv):
-                            if row:
-                                for b, r in reduced:
-                                    if row & b:
-                                        row ^= r
-                                reduced.append((bit, row))
-                                key = key << width | flag | row
-                        key <<= 1
-                    if key not in visited:
-                        if stored < VISITED_STATE_CAP:
-                            visited.add(key)
-                            stored += 1
-                        yield child, full[child], rank + added
-            while added:
-                added -= 1
-                touched[added][slots[added]] = 0
-        if level >= first_keyed and kept[level] is None:
-            kept[level] = list(table.scan(full[level]))
+            rest = packed
+            for pv in pivots:
+                if not rest:
+                    break
+                row = rest & row_mask
+                if row:
+                    pv[row.bit_length() - 1] = 0
+                rest >>= width
+            if prune and best - rank < room[0]:
+                room[0] = best - rank
+                if room[0] <= 0 or room[0] == 1 and _least_increase(pivots, table):
+                    return  # every option left would be cut
 
     if last == 0:
         probe(first_range, 0)

@@ -26,12 +26,17 @@ patched key cap.
 d* itself (`solver._least_increase`) and the option the kernel takes
 for it (`solver._cheapest`) are checked against full enumeration of a
 materialized table, in random search states reached by inserting a
-random prefix of options.  The acyclic sets (`solver._acyclic_sets`)
-are checked against the referee's rule and, for their sizes, against
-the largest acyclic subset found by trying every subset.  The kernel's
-root bound (`solver._group_bound`) is checked against the brute-force
-maximum over every partition of the senders, against the oracle
-optimum and against the unpruned search.
+random prefix of options.  In the same states the kernel's walk of a
+level modulo the bases (`solver._walk`) is checked option by option:
+its packed rows against `solver._modulo` of the option's rows, and,
+unpacked, against the pivots; its increase against the rank increase
+from `gf2_rank`; and the options it yields under a room against those
+whose increase is below it.  `_modulo` is checked to be linear.  The acyclic sets
+(`solver._acyclic_sets`) are checked against the referee's rule and,
+for their sizes, against the largest acyclic subset found by trying
+every subset.  The kernel's root bound (`solver._group_bound`) is
+checked against the brute-force maximum over every partition of the
+senders, against the oracle optimum and against the unpruned search.
 """
 
 from __future__ import annotations
@@ -388,10 +393,48 @@ def test_tables_match_the_referee_expansion(name, inst):
     for table, rows in zip(tables, _expand(inst)):
         assert table.count == len(rows)
         assert [table.row(i) for i in range(table.count)] == rows
-        assert list(table.scan(range(table.count))) == rows
-        lo, hi = table.count // 3, 2 * table.count // 3 + 1
-        assert list(table.scan(range(lo, hi))) == rows[lo:hi]
         assert table.keys == range(table.count)
+
+
+@cache
+def _state_case(i: int):
+    """(instance, kernel tables, referee expansion) of STATE_INSTANCES[i]."""
+    inst = STATE_INSTANCES[i][1]
+    return inst, _build_tables(inst), _expand(inst)
+
+
+@given(st.integers(0, len(STATE_INSTANCES) - 1), st.integers(0, 1 << 32), st.data())
+@settings(max_examples=300, deadline=None)
+def test_walk_is_the_options_modulo_the_bases(i, seed, data):
+    # the walk's packed rows against each option reduced on its own, its
+    # increase against the rank increase from gf2_rank, and its cut
+    # against the room
+    inst, tables, expanded = _state_case(i)
+    K, N = inst.K, inst.N
+    pivots = _random_state(expanded, N, random.Random(seed))
+    pivot_bits = [sum(1 << p for p, v in enumerate(pv) if v) for pv in pivots]
+    table = tables[data.draw(st.integers(0, K - 1))]
+    start = data.draw(st.integers(0, table.count - 1))
+    indices = range(start, min(table.count, start + 64))
+    walked = list(solver._walk(pivots, table, indices, [N + 1]))
+    assert [idx for idx, _, _ in walked] == list(indices)
+    room = data.draw(st.integers(0, N + 1))
+    cut = solver._walk(pivots, table, indices, [room])
+    assert [(idx, increase) for idx, increase, _ in cut] == [
+        (idx, increase) for idx, increase, _ in walked if increase < room
+    ]
+    for idx, increase, packed in walked:
+        assert packed == solver._modulo(pivots, table.row(idx))
+        rows = solver._unpack(packed, K, N)
+        assert packed == solver._pack(rows, K + 1)  # nothing in the spare bits
+        assert not any(row & bits for row, bits in zip(rows, pivot_bits))
+        assert increase == N - rows.count(0) == _increase(pivots, table.row(idx))
+        assert (packed == 0) == (increase == 0)
+    vectors = st.tuples(*[st.integers(0, (1 << K) - 1)] * N)
+    a, b = data.draw(vectors), data.draw(vectors)
+    assert solver._modulo(pivots, solver._xor(a, b)) == (
+        solver._modulo(pivots, a) ^ solver._modulo(pivots, b)
+    )
 
 
 @pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])

@@ -125,7 +125,7 @@ def test_tables_store_no_rows():
 @pytest.mark.parametrize("K,N", [(2, 14), (3, 10)])
 def test_huge_tables_with_few_visits_solve_in_little_memory(K, N):
     # inner tables of 2**27 and 2**29 options, of which the search visits
-    # a few: it keeps no level's rows, since it scans none whole
+    # a few: it stores no rows but the bases
     report, peak = _traced_peak(lambda: hyperminrank(fully_replicated(K, N)))
     assert report.hyperminrank == 1
     assert report.candidates_examined == {2: 1 << 28, 3: 1 << 31}[K]
