@@ -59,12 +59,15 @@ masked to S has bit k and no bit of a message k does not know, so these
 sums form a unit triangular block on S; project the final row spaces
 onto S, then take the quotient by the current ones.  The cut is tested
 before an inner child's state key is looked up or stored.  The rows
-above a level are fixed for its loop, so the first option the cut tests
-eliminates them, masked to S, once for the loop, and each option then
-reduces only its own masked rows against a copy.  There is no
-elimination while rank + |S| stays below the incumbent, nor when the
-bound still reaches the incumbent with one added to r for each of the
-option's nonzero masked rows.  At the root
+above a level are fixed for its loop, so the loop eliminates them,
+masked to S, at most once, and each option then reduces only its own
+masked rows against a copy.  The elimination runs only as far as the
+cut needs: it stops once r exceeds the largest slack an option can have
+at the current incumbent, and resumes where it stopped when the
+incumbent falls and that slack grows.  There is no elimination while
+rank + |S| stays below the incumbent, nor any copy when the bound still
+reaches the incumbent with one added to r for each of the option's
+nonzero masked rows.  At the root
 the bound is the MAIS itself, so once the incumbent falls to it the
 search stops: only strict improvements are accepted.
 
@@ -334,9 +337,19 @@ def _pack(rows: Sequence[int], width: int) -> int:
     return packed
 
 
-def _unpack(packed: int, K: int, N: int) -> List[int]:
-    """The N rows of K bits that `_pack` packed with width K + 1."""
-    return [packed >> shift & ((1 << K) - 1) for shift in range(0, N * (K + 1), K + 1)]
+def _nonzero_rows(packed: int, K: int) -> List[Tuple[int, int]]:
+    """(n, row) for each nonzero row of K bits that `_pack` packed with
+    width K + 1, n from 0: the rows an option adds to its senders'
+    bases, when packed holds them modulo the bases."""
+    rows = []
+    n = 0
+    while packed:
+        row = packed & ((1 << K) - 1)
+        if row:
+            rows.append((n, row))
+        packed >>= K + 1
+        n += 1
+    return rows
 
 
 @cache
@@ -377,7 +390,16 @@ def _walk(
 ) -> Iterator[Tuple[int, int, int]]:
     """(idx, rank increase, rows) for the options `indices` (a unit-step
     range) of `table` modulo the bases, in index order, whose increase
-    is below room[0]; the caller may lower room[0] between steps.
+    is below room[0].
+
+    `room` is a one-item list the walk reads at every step: the caller
+    may lower room[0] while the walk waits at a yield, and the options
+    after it are then cut against the new value.  A cut option costs
+    one XOR and one count and is never yielded.  Most options are cut
+    (15,797 of the 16,524 that the walks of search-wide's seeds 0-3
+    step over, probes and greedy seeds included), and yielding each of
+    them to a test in the caller made search-wide's solves about 4-5%
+    slower (in process, 2 vCPUs, Python 3.11.7).
 
     rows is `_modulo` of option idx, and the increase is its count of
     nonzero rows (`_packing`).  idx + 1 is idx with its t trailing ones
@@ -592,7 +614,9 @@ def _group_bound(holders: Sequence[int], knows: Sequence[int], mais: int) -> int
 def _masked_rank(basis: Dict[int, int], rows: Iterable[int], mask: int, limit: int) -> int:
     """The rank of `basis` ({pivot bit: row}) and `rows` masked to
     `mask`.  The rows go into `basis` in place, and the elimination
-    stops once the rank exceeds `limit`."""
+    stops once the rank exceeds `limit`.  When `rows` is an iterator,
+    the rows not yet read stay in it, so a later call with a larger
+    limit resumes the elimination."""
     for row in rows:
         row &= mask
         while row:
@@ -655,9 +679,8 @@ def _greedy_dive(tables: Sequence[_ReceiverTable], N: int) -> int:
     total = 0
     for table in tables:
         delta, idx = _cheapest(pivots, table, range(table.count), N + 1)
-        for pv, row in zip(pivots, _unpack(_modulo(pivots, table.row(idx)), K, N)):
-            if row:
-                pv[row.bit_length() - 1] = row
+        for n, row in _nonzero_rows(_modulo(pivots, table.row(idx)), K):
+            pivots[n][row.bit_length() - 1] = row
         total += delta
     return total
 
@@ -704,14 +727,17 @@ def _search(
     With pruning, an inner child is cut first when rank + |sets[child]|,
     less the rank r of the bases masked to sets[child], reaches the
     incumbent.  The bases above the level are fixed for the frame, so
-    the first option the cut tests eliminates them once (`_masked_rank`)
-    and later options reduce only their own masked rows, against a copy,
-    unless the bound reaches the incumbent with one added to r per
-    nonzero masked row, read off the packed rows.  That elimination
-    stops once r exceeds the largest slack any option of the frame can
-    have (an option adds at most N, and less than the room); the
-    incumbent only falls, so from then on no option of the frame is
-    cut.  Once a probe brings the incumbent down to the root bound, its
+    the frame eliminates them at most once (`_masked_rank`) and each
+    option reduces only its own masked rows, against a copy, unless the
+    bound reaches the incumbent with one added to r per nonzero masked
+    row, read off the packed rows.  That elimination stops once r
+    exceeds the largest slack an option can have at the current
+    incumbent (an option adds at most N, and less than the room), so r
+    is exact wherever it can decide a cut.  The largest slack grows as
+    the incumbent falls: an option whose slack exceeds the limit the
+    elimination stopped at resumes it, from the next row of the bases,
+    which are the same at every option of the frame.  Once a probe
+    brings the incumbent down to the root bound, its
     frame returns and the loop stops (see the module docstring).  The
     root bound is |sets[0]|, or `_group_bound` when the incumbent starts
     above |sets[0]| + 1.
@@ -724,7 +750,8 @@ def _search(
     and are not keyed.
 
     No rows are stored beyond the bases and, per live frame, its masked
-    basis and the reduced flips its walk has used.  `first_range` is
+    basis, the reduced flips its walk has used and the nonzero rows of
+    its current option (`_nonzero_rows`).  `first_range` is
     any unit-step range of first-level options, not only the whole
     level.
     """
@@ -738,7 +765,6 @@ def _search(
     found: Optional[Tuple[int, ...]] = None
     leaves = 0
     width, spare, ones = _packing(K, N)
-    row_mask = (1 << K) - 1
     seen = [set() for _ in range(K)]
     stored = 0
     # A level with one path into it is entered at most once, so its key
@@ -776,36 +802,37 @@ def _search(
         table = tables[level]
         child = level + 1
         visited = seen[child]
-        basis = None  # the bases masked to sets[child], eliminated once
+        # The bases masked to sets[child]: their rank, or more than limit.
+        # `above` yields the rows not yet eliminated; the bases are the
+        # same at every cut test of this frame, so it may be resumed.
+        basis: Dict[int, int] = {}
+        above = filter(None, chain.from_iterable(pivots))
+        limit = -1
         # the walk cuts an option whose increase reaches the room
         room = [best - rank if prune else N + 1]
         if room[0] == 1 and _least_increase(pivots, table):
             return  # every option adds one: all are cut
         for idx, added, packed in _walk(pivots, table, indices, room):
             if prune and child < last and (slack := rank + added + sizes[child] - best) >= 0:
-                if basis is None:
-                    # no option of this frame has a larger slack
+                if slack > limit:
+                    # the largest slack at this incumbent, which grows as
+                    # the incumbent falls: resume the elimination to it
                     limit = min(rank + N, best - 1) + sizes[child] - best
-                    basis = {}
-                    above = filter(None, chain.from_iterable(pivots))
                     _masked_rank(basis, above, sets[child], limit)
                 r = len(basis)
                 # each of the option's masked rows adds at most one to r
                 if r + (((packed & spreads[child]) + ones) & spare).bit_count() <= slack or (
                     r <= slack
-                    and _masked_rank(basis.copy(), _unpack(packed, K, N), sets[child], slack)
+                    and _masked_rank(
+                        basis.copy(), (v for _, v in _nonzero_rows(packed, K)), sets[child], slack
+                    )
                     <= slack
                 ):
                     continue  # cut: the residual acyclic-set bound reaches the incumbent
             combo[level] = idx
-            rest = packed
-            for pv in pivots:
-                if not rest:
-                    break
-                row = rest & row_mask
-                if row:
-                    pv[row.bit_length() - 1] = row
-                rest >>= width
+            filled = _nonzero_rows(packed, K)
+            for n, row in filled:
+                pivots[n][row.bit_length() - 1] = row
             if child == last:
                 probe(full[last], rank + added)
                 if best <= root:
@@ -819,14 +846,8 @@ def _search(
                         visited.add(key)
                         stored += 1
                     yield child, full[child], rank + added
-            rest = packed
-            for pv in pivots:
-                if not rest:
-                    break
-                row = rest & row_mask
-                if row:
-                    pv[row.bit_length() - 1] = 0
-                rest >>= width
+            for n, row in filled:
+                pivots[n][row.bit_length() - 1] = 0
             if prune and best - rank < room[0]:
                 room[0] = best - rank
                 if room[0] <= 0 or room[0] == 1 and _least_increase(pivots, table):

@@ -20,8 +20,9 @@ components that shared demand holders join, each group's MAIS found by
 trying its receivers' subsets with Kahn's check.  The current kernel
 must return the same greedy seed and the same (value, option indices,
 leaves) triple on every instance, with and without pruning, over the
-whole first level and over contiguous first-level chunks, and under a
-patched key cap.
+whole first level and over contiguous first-level chunks, under a
+patched key cap, and, with pruning, from every incumbent up to K + 1,
+where the incumbent falls inside the upper frames.
 
 d* itself (`solver._least_increase`) and the option the kernel takes
 for it (`solver._cheapest`) are checked against full enumeration of a
@@ -344,6 +345,62 @@ def test_kernel_matches_reference_under_a_key_cap(name, inst, monkeypatch):
         assert got == want, (serialize_instance(inst), cap)
 
 
+def _one_sender(K: int, side_info: Sequence[Set[int]]) -> Instance:
+    return Instance(
+        K=K,
+        N=1,
+        sender_stores=(frozenset(range(1, K + 1)),),
+        side_info=tuple(map(frozenset, side_info)),
+    )
+
+
+# From an incumbent of K + 1 the incumbent falls several times inside
+# the upper frames while their room is above N + 1, so a frame's masked
+# basis, stopped at the largest slack of its first cut test, must be
+# resumed when a later option's slack is larger.  Left truncated, it
+# cuts subtrees the residual bound does not: on the first instance the
+# solve visits 2,052 leaves instead of 2,084, on the second 158 of 162.
+RESUMED_BASIS = [
+    _one_sender(8, [{7, 8}, {6, 7}, {7}, {6}, {7, 8}, {2, 5, 8}, {1, 2, 3, 6, 8}, {1, 2}]),
+    _one_sender(
+        11, [{5, 7, 8}, {1, 4, 9}, {7, 8}, (), {8}, (), {11}, {2, 7, 11}, {1, 3, 4}, {5}, {1}]
+    ),
+]
+FALLING_INCUMBENT = [(f"resumed{i}", inst) for i, inst in enumerate(RESUMED_BASIS)]
+FALLING_INCUMBENT += [(name, inst) for name, inst in INSTANCES if inst.N <= 2]
+
+
+@pytest.mark.parametrize(
+    "name,inst", FALLING_INCUMBENT, ids=[name for name, _ in FALLING_INCUMBENT]
+)
+def test_kernel_matches_reference_from_above_every_value(name, inst):
+    tables = _build_tables(inst)
+    whole = range(tables[0].count)
+    for incumbent in range(min(_greedy_dive(tables, inst.N), inst.K) + 1, inst.K + 2):
+        got = _search(tables, inst.N, True, whole, incumbent)
+        want = _reference_search(inst, True, whole, incumbent, solver.VISITED_STATE_CAP)
+        assert got == want, (serialize_instance(inst), incumbent)
+
+
+def test_a_falling_incumbent_resumes_the_residual_basis():
+    # the greedy seed of both is K, so the solve itself starts at K + 1
+    for inst, leaves in zip(RESUMED_BASIS, (2084, 162)):
+        tables = _build_tables(inst)
+        assert _greedy_dive(tables, inst.N) == inst.K
+        assert hyperminrank(inst).candidates_examined == leaves
+
+
+@given(instances(max_k=8, max_n=2))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_from_k_plus_one(inst):
+    assume(complexity_exponents(inst).e2 <= 16)
+    tables = _build_tables(inst)
+    whole = range(tables[0].count)
+    got = _search(tables, inst.N, True, whole, inst.K + 1)
+    want = _reference_search(inst, True, whole, inst.K + 1, solver.VISITED_STATE_CAP)
+    assert got == want, serialize_instance(inst)
+
+
 # ---- the option tables and d* against full enumeration ----
 
 
@@ -425,10 +482,13 @@ def test_walk_is_the_options_modulo_the_bases(i, seed, data):
     ]
     for idx, increase, packed in walked:
         assert packed == solver._modulo(pivots, table.row(idx))
-        rows = solver._unpack(packed, K, N)
+        filled = solver._nonzero_rows(packed, K)
+        rows = [0] * N
+        for n, row in filled:
+            rows[n] = row
         assert packed == solver._pack(rows, K + 1)  # nothing in the spare bits
         assert not any(row & bits for row, bits in zip(rows, pivot_bits))
-        assert increase == N - rows.count(0) == _increase(pivots, table.row(idx))
+        assert increase == len(filled) == _increase(pivots, table.row(idx))
         assert (packed == 0) == (increase == 0)
     vectors = st.tuples(*[st.integers(0, (1 << K) - 1)] * N)
     a, b = data.draw(vectors), data.draw(vectors)
