@@ -38,7 +38,7 @@ ascending vertex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .codec import LinearCode, verify_code
 from .instance import Instance
@@ -138,7 +138,7 @@ def _greedy_cover(
     return chosen
 
 
-def _receiver_mask(receivers: FrozenSet[int]) -> int:
+def _receiver_mask(receivers: Iterable[int]) -> int:
     """Receiver (or sender) k as bit k-1."""
     mask = 0
     for k in receivers:
@@ -338,7 +338,7 @@ def complement_clique_lower(
     order; its host is the lowest sender storing its messages.
     """
     K = inst.K
-    holders = [_receiver_mask(inst.stores_of(k)) for k in range(1, K + 1)]
+    holders = [_receiver_mask(h) for h in inst.holders]
     # Bit j-1 of apart[k] is set when j != k+1 and neither of receivers
     # j and k+1 knows the other's message.
     apart = [~(1 << k) & ~_receiver_mask(known) for k, known in enumerate(inst.side_info)]

@@ -19,7 +19,7 @@ from operator import xor
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .gf2 import gf2_rank
-from .instance import Instance, derive_stats
+from .instance import Instance
 
 __all__ = [
     "HyperEdge",
@@ -101,22 +101,21 @@ class SubChoice:
 
 def build(inst: Instance) -> SideInfoHypergraph:
     """All demand, cached and coupled edges of an instance."""
-    stats = derive_stats(inst)
+    holders = inst.holders
     demand = set()
     cached = set()
     coupled = set()
     for k in range(1, inst.K + 1):
-        for n in stats.availability[k - 1]:
+        for n in holders[k - 1]:
             demand.add(HyperEdge(k, k, n, n, DEMAND))
         for m in inst.side_info[k - 1]:
-            for n in stats.availability[m - 1]:
+            for n in holders[m - 1]:
                 cached.add(HyperEdge(k, m, n, n, CACHED))
         for k2 in range(1, inst.K + 1):
             if k2 == k or k2 in inst.side_info[k - 1]:
                 continue
-            holders = sorted(stats.availability[k2 - 1])
-            for i, n in enumerate(holders):
-                for n2 in holders[i + 1:]:
+            for i, n in enumerate(holders[k2 - 1]):
+                for n2 in holders[k2 - 1][i + 1:]:
                     coupled.add(HyperEdge(k, k2, n, n2, COUPLED))
     return SideInfoHypergraph(
         inst=inst,
@@ -133,7 +132,7 @@ def adjacency(hg: SideInfoHypergraph) -> CompositeAdjacency:
     coupled edges carries the parity of the number of partner senders.
     """
     inst = hg.inst
-    stats = derive_stats(inst)
+    holders = inst.holders
     blocks = []
     for n in range(1, inst.N + 1):
         rows = []
@@ -145,8 +144,8 @@ def adjacency(hg: SideInfoHypergraph) -> CompositeAdjacency:
                     bit = 1 if k in store else 0
                 elif k2 in inst.side_info[k - 1]:
                     bit = 1 if k2 in store else 0
-                elif n in stats.availability[k2 - 1]:
-                    bit = (stats.replication[k2 - 1] - 1) & 1
+                elif n in holders[k2 - 1]:
+                    bit = (len(holders[k2 - 1]) - 1) & 1
                 else:
                     bit = 0
                 row |= bit << (k2 - 1)
@@ -156,7 +155,7 @@ def adjacency(hg: SideInfoHypergraph) -> CompositeAdjacency:
 
 
 def _check_choice(choice: SubChoice, inst: Instance) -> None:
-    stats = derive_stats(inst)
+    holders = inst.holders
     if (
         len(choice.demand_senders) != inst.K
         or len(choice.cached_edges) != inst.K
@@ -165,19 +164,19 @@ def _check_choice(choice: SubChoice, inst: Instance) -> None:
         raise ValueError("choice must carry one entry per receiver")
     for k in range(1, inst.K + 1):
         dsel = choice.demand_senders[k - 1]
-        if not dsel <= stats.availability[k - 1]:
+        if not dsel.issubset(holders[k - 1]):
             raise ValueError(f"receiver {k}: demand senders {sorted(dsel)} not all store {k}")
         if len(dsel) % 2 != 1:
             raise ValueError(f"receiver {k}: selected demand edge count must be odd")
         for m, n in choice.cached_edges[k - 1]:
-            if m not in inst.side_info[k - 1] or n not in stats.availability[m - 1]:
+            if m not in inst.side_info[k - 1] or n not in holders[m - 1]:
                 raise ValueError(f"receiver {k}: ({m},{n}) is not a cached edge")
         for k2, senders in choice.coupled_senders[k - 1]:
             if k2 == k or k2 in inst.side_info[k - 1]:
                 raise ValueError(f"receiver {k}: message {k2} admits no coupled edges")
             if not senders or len(senders) % 2 != 0:
                 raise ValueError(f"receiver {k}: coupled sender set for {k2} must be even and non-empty")
-            if not senders <= stats.availability[k2 - 1]:
+            if not senders.issubset(holders[k2 - 1]):
                 raise ValueError(f"receiver {k}: coupled senders for {k2} must all store {k2}")
 
 

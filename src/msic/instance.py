@@ -111,7 +111,7 @@ class DerivedStats:
 
 def derive_stats(inst: Instance) -> DerivedStats:
     """Availability sets, replication degrees and load summary."""
-    availability = tuple(inst.stores_of(m) for m in range(1, inst.K + 1))
+    availability = tuple(map(frozenset, inst.holders))
     replication = tuple(len(a) for a in availability)
     total_load = sum(len(store) for store in inst.sender_stores)
     assert sum(replication) == total_load

@@ -61,15 +61,12 @@ onto S, then take the quotient by the current ones.  The cut is tested
 before an inner child's state key is looked up or stored.  The rows
 above a level are fixed for its loop, so the loop eliminates them,
 masked to S, at most once, and each option then reduces only its own
-masked rows against a copy.  The elimination runs only as far as the
-cut needs: it stops once r exceeds the largest slack an option can have
-at the current incumbent, and resumes where it stopped when the
-incumbent falls and that slack grows.  There is no elimination while
+masked rows against a copy.  There is no elimination while
 rank + |S| stays below the incumbent, nor any copy when the bound still
 reaches the incumbent with one added to r for each of the option's
-nonzero masked rows.  At the root
-the bound is the MAIS itself, so once the incumbent falls to it the
-search stops: only strict improvements are accepted.
+nonzero masked rows.  At the root the bound is the MAIS itself, so
+once the incumbent falls to it the search stops: only strict
+improvements are accepted.
 
 When the greedy seed is above the MAIS, the root stop uses a sender-group
 bound instead, if it is larger (in the spirit of Li, Ong and Johnson's
@@ -436,28 +433,13 @@ def _least_increase(pivots: List[List[int]], table: _ReceiverTable) -> int:
     senders, masked to `table.parity` (sigma), is the demand bit e_k.
     Every basis row of sender n lies in V_n, so some option adds nothing
     exactly when e_k lies in the span of sigma(b) over every basis row b
-    of every sender: one elimination over at most K bits.  Otherwise
-    option 0 (the demand at its first holder, nothing else) adds one.
+    of every sender: e_k raises that masked rank by 0 or 1
+    (`_masked_rank`).  Otherwise option 0 (the demand at its first
+    holder, nothing else) adds one.
     """
-    parity = table.parity
-    basis = [0] * len(pivots[0])
-    for pv in pivots:
-        for row in filter(None, pv):
-            row &= parity
-            while row:
-                p = row.bit_length() - 1
-                v = basis[p]
-                if not v:
-                    basis[p] = row
-                    break
-                row ^= v
-    row = table.demand
-    while row:
-        v = basis[row.bit_length() - 1]
-        if not v:
-            return 1
-        row ^= v
-    return 0
+    basis: Dict[int, int] = {}
+    rank = _masked_rank(basis, filter(None, chain.from_iterable(pivots)), table.parity)
+    return _masked_rank(basis, (table.demand,), table.parity) - rank
 
 
 def _cheapest(
@@ -611,12 +593,9 @@ def _group_bound(holders: Sequence[int], knows: Sequence[int], mais: int) -> int
     return max(mais, *(sum(map(group_mais, groups)) for groups in partitions))
 
 
-def _masked_rank(basis: Dict[int, int], rows: Iterable[int], mask: int, limit: int) -> int:
+def _masked_rank(basis: Dict[int, int], rows: Iterable[int], mask: int) -> int:
     """The rank of `basis` ({pivot bit: row}) and `rows` masked to
-    `mask`.  The rows go into `basis` in place, and the elimination
-    stops once the rank exceeds `limit`.  When `rows` is an iterator,
-    the rows not yet read stay in it, so a later call with a larger
-    limit resumes the elimination."""
+    `mask`.  The rows go into `basis` in place."""
     for row in rows:
         row &= mask
         while row:
@@ -624,8 +603,6 @@ def _masked_rank(basis: Dict[int, int], rows: Iterable[int], mask: int, limit: i
             v = basis.get(p)
             if v is None:
                 basis[p] = row
-                if len(basis) > limit:
-                    return len(basis)
                 break
             row ^= v
     return len(basis)
@@ -727,18 +704,12 @@ def _search(
     With pruning, an inner child is cut first when rank + |sets[child]|,
     less the rank r of the bases masked to sets[child], reaches the
     incumbent.  The bases above the level are fixed for the frame, so
-    the frame eliminates them at most once (`_masked_rank`) and each
-    option reduces only its own masked rows, against a copy, unless the
-    bound reaches the incumbent with one added to r per nonzero masked
-    row, read off the packed rows.  That elimination stops once r
-    exceeds the largest slack an option can have at the current
-    incumbent (an option adds at most N, and less than the room), so r
-    is exact wherever it can decide a cut.  The largest slack grows as
-    the incumbent falls: an option whose slack exceeds the limit the
-    elimination stopped at resumes it, from the next row of the bases,
-    which are the same at every option of the frame.  Once a probe
-    brings the incumbent down to the root bound, its
-    frame returns and the loop stops (see the module docstring).  The
+    the frame eliminates them once, at its first cut test
+    (`_masked_rank`), and each option reduces only its own masked rows,
+    against a copy, unless the bound reaches the incumbent with one
+    added to r per nonzero masked row, read off the packed rows.  Once
+    a probe brings the incumbent down to the root bound, its frame
+    returns and the loop stops (see the module docstring).  The
     root bound is |sets[0]|, or `_group_bound` when the incumbent starts
     above |sets[0]| + 1.
 
@@ -802,29 +773,23 @@ def _search(
         table = tables[level]
         child = level + 1
         visited = seen[child]
-        # The bases masked to sets[child]: their rank, or more than limit.
-        # `above` yields the rows not yet eliminated; the bases are the
-        # same at every cut test of this frame, so it may be resumed.
-        basis: Dict[int, int] = {}
-        above = filter(None, chain.from_iterable(pivots))
-        limit = -1
+        # the bases masked to sets[child], eliminated at the first cut test
+        basis: Optional[Dict[int, int]] = None
         # the walk cuts an option whose increase reaches the room
         room = [best - rank if prune else N + 1]
         if room[0] == 1 and _least_increase(pivots, table):
             return  # every option adds one: all are cut
         for idx, added, packed in _walk(pivots, table, indices, room):
             if prune and child < last and (slack := rank + added + sizes[child] - best) >= 0:
-                if slack > limit:
-                    # the largest slack at this incumbent, which grows as
-                    # the incumbent falls: resume the elimination to it
-                    limit = min(rank + N, best - 1) + sizes[child] - best
-                    _masked_rank(basis, above, sets[child], limit)
+                if basis is None:
+                    basis = {}
+                    _masked_rank(basis, filter(None, chain.from_iterable(pivots)), sets[child])
                 r = len(basis)
                 # each of the option's masked rows adds at most one to r
                 if r + (((packed & spreads[child]) + ones) & spare).bit_count() <= slack or (
                     r <= slack
                     and _masked_rank(
-                        basis.copy(), (v for _, v in _nonzero_rows(packed, K)), sets[child], slack
+                        basis.copy(), (v for _, v in _nonzero_rows(packed, K)), sets[child]
                     )
                     <= slack
                 ):

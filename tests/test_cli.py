@@ -674,7 +674,7 @@ def test_solve_fits_its_witness_once(corpus_dir, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, derive_stats, stores_of", [
     (["solve"], 0, 0),
-    (["oracle", "--max-length", "4"], 1, 6),  # derive_stats' own K = 6 calls
+    (["oracle", "--max-length", "4"], 1, 0),  # derive_stats reads Instance.holders
 ])
 def test_availability_is_derived_once(corpus_dir, capsys, monkeypatch, argv, derive_stats, stores_of):
     counts = {}

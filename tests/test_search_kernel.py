@@ -32,7 +32,9 @@ level modulo the bases (`solver._walk`) is checked option by option:
 its packed rows against `solver._modulo` of the option's rows, and,
 unpacked, against the pivots; its increase against the rank increase
 from `gf2_rank`; and the options it yields under a room against those
-whose increase is below it.  `_modulo` is checked to be linear.  The acyclic sets
+whose increase is below it.  `_modulo` is checked to be linear.  The
+residual cut's masked elimination (`solver._masked_rank`) is checked
+against `gf2_rank` of the masked rows.  The acyclic sets
 (`solver._acyclic_sets`) are checked against the referee's rule and,
 for their sizes, against the largest acyclic subset found by trying
 every subset.  The kernel's root bound (`solver._group_bound`) is
@@ -355,11 +357,11 @@ def _one_sender(K: int, side_info: Sequence[Set[int]]) -> Instance:
 
 
 # From an incumbent of K + 1 the incumbent falls several times inside
-# the upper frames while their room is above N + 1, so a frame's masked
-# basis, stopped at the largest slack of its first cut test, must be
-# resumed when a later option's slack is larger.  Left truncated, it
-# cuts subtrees the residual bound does not: on the first instance the
-# solve visits 2,052 leaves instead of 2,084, on the second 158 of 162.
+# the upper frames while their room is above N + 1, so a later option
+# of a frame can have a larger slack than the frame's first cut test.
+# A masked basis eliminated only as far as that first slack cuts
+# subtrees the residual bound does not: on the first instance the solve
+# visits 2,052 leaves instead of 2,084, on the second 158 of 162.
 RESUMED_BASIS = [
     _one_sender(8, [{7, 8}, {6, 7}, {7}, {6}, {7, 8}, {2, 5, 8}, {1, 2, 3, 6, 8}, {1, 2}]),
     _one_sender(
@@ -382,7 +384,7 @@ def test_kernel_matches_reference_from_above_every_value(name, inst):
         assert got == want, (serialize_instance(inst), incumbent)
 
 
-def test_a_falling_incumbent_resumes_the_residual_basis():
+def test_a_falling_incumbent_keeps_the_residual_cut_exact():
     # the greedy seed of both is K, so the solve itself starts at K + 1
     for inst, leaves in zip(RESUMED_BASIS, (2084, 162)):
         tables = _build_tables(inst)
@@ -495,6 +497,24 @@ def test_walk_is_the_options_modulo_the_bases(i, seed, data):
     assert solver._modulo(pivots, solver._xor(a, b)) == (
         solver._modulo(pivots, a) ^ solver._modulo(pivots, b)
     )
+
+
+@given(st.integers(0, len(STATE_INSTANCES) - 1), st.integers(0, 1 << 32), st.data())
+@settings(max_examples=200, deadline=None)
+def test_masked_rank_is_the_rank_of_the_masked_rows(i, seed, data):
+    # the residual cut's elimination against gf2_rank, in one call and
+    # split over two calls on the same basis
+    inst, _, expanded = _state_case(i)
+    pivots = _random_state(expanded, inst.N, random.Random(seed))
+    rows = [row for pv in pivots for row in pv if row]
+    mask = data.draw(st.integers(0, (1 << inst.K) - 1))
+    want = gf2_rank([row & mask for row in rows])
+    assert solver._masked_rank({}, rows, mask) == want
+    split = data.draw(st.integers(0, len(rows)))
+    basis: Dict[int, int] = {}
+    solver._masked_rank(basis, rows[:split], mask)
+    assert solver._masked_rank(basis, rows[split:], mask) == want
+    assert all(row.bit_length() - 1 == p and not row & ~mask for p, row in basis.items())
 
 
 @pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
