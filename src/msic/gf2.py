@@ -13,7 +13,6 @@ __all__ = [
     "gf2_rank",
     "spanning_rows",
     "express_in_span",
-    "in_span_with_side_info",
     "basis_add",
     "support",
 ]
@@ -89,15 +88,6 @@ def express_in_span(target: int, basis: List[int]) -> Optional[int]:
         v ^= entry[0]
         c ^= entry[1]
     return c
-
-
-def in_span_with_side_info(target: int, code_rows: List[int], side_idx: Iterable[int]) -> bool:
-    """True iff target lies in span(code_rows + {e_j : j in side_idx}).
-
-    side_idx holds 0-based coordinate positions.
-    """
-    basis = list(code_rows) + [1 << j for j in sorted(side_idx)]
-    return express_in_span(target, basis) is not None
 
 
 def support(vec: int) -> Tuple[int, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .codec import LinearCode
-from .gf2 import in_span_with_side_info
+from .gf2 import express_in_span
 from .instance import Instance
 
 __all__ = ["OracleReport", "optimal_linear_code_bruteforce"]
@@ -71,7 +71,8 @@ def optimal_linear_code_bruteforce(inst: Instance, max_length: Optional[int] = N
         store_masks.append(mask)
     candidates = [_supported_vectors(mask) for mask in store_masks]
     caps = [len(c) for c in candidates]
-    side_idx = [sorted(j - 1 for j in inst.side_info[k - 1]) for k in range(1, inst.K + 1)]
+    # the unit rows of the messages each receiver knows
+    units = [[1 << (j - 1) for j in sorted(known)] for known in inst.side_info]
     targets = [1 << (k - 1) for k in range(1, inst.K + 1)]
 
     checked = 0
@@ -85,7 +86,7 @@ def optimal_linear_code_bruteforce(inst: Instance, max_length: Optional[int] = N
                 checked += 1
                 flat = [vec for sender_vecs in picks for vec in sender_vecs]
                 if all(
-                    in_span_with_side_info(targets[k], flat, side_idx[k])
+                    express_in_span(targets[k], flat + units[k]) is not None
                     for k in range(inst.K)
                 ):
                     witness = LinearCode(K=inst.K, senders=tuple(tuple(p) for p in picks))

@@ -92,14 +92,17 @@ b = 1 + K(K + 1) + N bits and costs about 56 + b / 7.5 bytes with its
 set slot (CPython 3.11), so the sets take at most 4.5 MB at K = 10,
 N = 4 (b = 115) and 13.8 MB at K = N = 34 (b = 1225).
 
-No table stores its options, and the search stores no rows but the
-bases.  A level's loop computes its first option from the generators,
-reduces each sum of generators the first time a step uses it, and
-steps with one XOR of the option's rows packed into one int.  Beyond
-the bases, a live loop holds at most one reduced sum per generator of
-its table and the masked basis of the residual cut, so the search's
-memory is bounded by K, N and the depth, not by the size of its
-tables.
+An option's N per-sender rows are one int, sender n's row at bit
+(n - 1)(K + 1), as receiver k's rows of the composite adjacency
+[A_1 ... A_N] are one row; the tables, the walk and the witness use
+this format and no other (see `_ReceiverTable`).  No table stores its
+options, and the search stores no rows but the bases.  A level's loop
+computes its first option from the generators, reduces each sum of
+generators the first time a step uses it, and steps with one XOR.
+Beyond the bases, a live loop holds at most one reduced sum per
+generator of its table and the masked basis of the residual cut, so
+the search's memory is bounded by K, N and the depth, not by the size
+of its tables.
 
 The canonical order on selections lives here and nowhere else: in the
 option tables built by `_ReceiverTable`.  It is the ascending order of
@@ -246,26 +249,26 @@ def complexity_exponents(inst: Instance) -> ComplexityProfile:
 # ---- enumeration tables ----
 
 
-def _xor(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(map(xor, a, b))
-
-
 class _ReceiverTable:
     """All selections of one receiver, in canonical ascending order.
 
     The fitting criterion makes them an affine space over GF(2): option
     idx is `first` (option 0, the demand at its first holder) XOR
     gens[i] for each set bit i of idx, and there are count = 2 **
-    len(gens) options.  An option and each generator are tuples of
-    per-sender rows.  The generators come in ascending significance,
-    groups last first: each unknown message from the last, then the
-    cached (message, holder) cells of the side information one by one,
-    then the demand.  A parity group (the demand or an unknown message,
-    holders h_0 < h_1 < ...) gives, for j >= 1, its bit at h_j together
-    with its bit at h_0: so the group's option j is its j-th odd
-    (demand) or even (unknown message) holder set in ascending mask
-    order, and index order is the order of the (demand mask, cached
-    mask, coupled masks...) keys (see the module docstring).
+    len(gens) options.  An option and each generator are one int that
+    packs the per-sender rows: sender n's row of K bits at bit
+    (n - 1)(K + 1), with a spare 0 bit above it (`_packing`), and
+    `cell(n, m)` is the bit of message m in sender n's row;
+    `_nonzero_rows` splits such an int back into rows.  The generators
+    come in ascending significance, groups last first: each unknown
+    message from the last, then the cached (message, holder) cells of
+    the side information one by one, then the demand.  A parity group
+    (the demand or an unknown message, holders h_0 < h_1 < ...) gives,
+    for j >= 1, its bit at h_j together with its bit at h_0: so the
+    group's option j is its j-th odd (demand) or even (unknown message)
+    holder set in ascending mask order, and index order is the order of
+    the (demand mask, cached mask, coupled masks...) keys (see the
+    module docstring).
 
     The table stores no option.  `row` computes any one, and the search
     walks a range of them modulo its bases (`_walk`), one XOR of
@@ -280,39 +283,36 @@ class _ReceiverTable:
     def __init__(self, inst: Instance, k: int):
         holders = inst.holders
 
-        def cells(*pairs: Tuple[int, int]) -> Tuple[int, ...]:
-            row = [0] * inst.N
-            for n, bit in pairs:
-                row[n - 1] ^= bit
-            return tuple(row)
+        def cell(n: int, m: int) -> int:
+            return 1 << (n - 1) * (inst.K + 1) + m - 1
 
-        def parity_group(m: int) -> List[Tuple[int, ...]]:
+        def parity_group(m: int) -> List[int]:
             h0, *rest = holders[m - 1]
-            return [cells((h0, 1 << (m - 1)), (n, 1 << (m - 1))) for n in rest]
+            return [cell(h0, m) | cell(n, m) for n in rest]
 
         known = inst.side_info[k - 1]
         unknown = [m for m in range(1, inst.K + 1) if m != k and m not in known]
         # a message with one holder adds no generator: skip it without a call
         coupled = [m for m in reversed(unknown) if len(holders[m - 1]) > 1]
         gens = [gen for m in coupled for gen in parity_group(m)]
-        gens += [cells((n, 1 << (m - 1))) for m in sorted(known) for n in holders[m - 1]]
+        gens += [cell(n, m) for m in sorted(known) for n in holders[m - 1]]
         gens += parity_group(k)
         self.demand = 1 << (k - 1)
         self.holders = sum(1 << (n - 1) for n in holders[k - 1])
         self.parity = sum(1 << (m - 1) for m in unknown) | self.demand
-        self.first = cells((holders[k - 1][0], self.demand))
+        self.first = cell(holders[k - 1][0], k)
         self.gens = gens
-        self.flips = list(accumulate(gens, _xor))
+        self.flips = list(accumulate(gens, xor))
         self.count = 1 << len(gens)
         self.keys = range(self.count)
 
-    def row(self, idx: int) -> Tuple[int, ...]:
+    def row(self, idx: int) -> int:
         """Option idx, computed, not stored: `first` XOR the generators
         that idx's bits pick."""
         row = self.first
         while idx:
             low = idx & -idx
-            row = _xor(row, self.gens[low.bit_length() - 1])
+            row ^= self.gens[low.bit_length() - 1]
             idx ^= low
         return row
 
@@ -324,20 +324,10 @@ def _build_tables(inst: Instance) -> List[_ReceiverTable]:
 # ---- the search itself ----
 
 
-def _pack(rows: Sequence[int], width: int) -> int:
-    """Per-sender rows as one int: sender n's row at bit n * width, n
-    from 0.  The search packs N rows of K bits with width K + 1, so that
-    one XOR steps every sender's row at once (`_walk`)."""
-    packed = 0
-    for row in reversed(rows):
-        packed = packed << width | row
-    return packed
-
-
 def _nonzero_rows(packed: int, K: int) -> List[Tuple[int, int]]:
-    """(n, row) for each nonzero row of K bits that `_pack` packed with
-    width K + 1, n from 0: the rows an option adds to its senders'
-    bases, when packed holds them modulo the bases."""
+    """(n, row) for each nonzero row of the packed rows (see
+    `_ReceiverTable`), n from 0: the rows of an option, or, when packed
+    holds them modulo the bases, the rows it adds to its senders' bases."""
     rows = []
     n = 0
     while packed:
@@ -351,34 +341,36 @@ def _nonzero_rows(packed: int, K: int) -> List[Tuple[int, int]]:
 
 @cache
 def _packing(K: int, N: int) -> Tuple[int, int, int]:
-    """(width, spare, ones) of the search's packing of N rows of K bits:
-    spare has the bit above each row set and ones the K bits of each
-    row.  (packed + ones) & spare keeps the spare bit of every nonzero
-    row, since adding K ones carries into it exactly then."""
-    width = K + 1
-    spare = _pack((1 << K,) * N, width)
-    return width, spare, spare - _pack((1,) * N, width)
+    """(unit, spare, ones) of the packing of N rows of K bits (see
+    `_ReceiverTable`): unit has bit 0 of each row set, spare the bit
+    above each row and ones the K bits of each row, so s * unit packs
+    the row s for every sender.  (packed + ones) & spare keeps the spare
+    bit of every nonzero row, since adding K ones carries into it
+    exactly then."""
+    unit = sum(1 << n * (K + 1) for n in range(N))
+    spare = unit << K
+    return unit, spare, spare - unit
 
 
-def _modulo(pivots: List[List[int]], rows: Sequence[int]) -> int:
-    """`rows` modulo the bases, packed (`_pack`): each sender's row with
-    every pivot bit cleared by that sender's basis rows, so it keeps
-    only bits at empty slots.  That is the one such representative of
-    the row's coset modulo the sender's span, so the map is linear, and
-    a row adds one to its sender's rank exactly when its result is
-    nonzero."""
+def _modulo(pivots: List[List[int]], rows: int) -> int:
+    """The packed `rows` modulo the bases: each sender's row with every
+    pivot bit cleared by that sender's basis rows, so it keeps only bits
+    at empty slots.  That is the one such representative of the row's
+    coset modulo the sender's span, so the map is linear, and a row adds
+    one to its sender's rank exactly when its result is nonzero.  One
+    loop runs over the set bits, top down: bit p is bit q of sender
+    n + 1's row, and reduces by that sender's pivot row at q, if any."""
     width = len(pivots[0]) + 1
     packed = 0
-    for pv, row in zip(reversed(pivots), reversed(rows)):
-        packed <<= width
-        while row:
-            p = row.bit_length() - 1
-            v = pv[p]
-            if v:
-                row ^= v
-            else:
-                packed |= 1 << p
-                row ^= 1 << p
+    while rows:
+        p = rows.bit_length() - 1
+        n, q = divmod(p, width)
+        v = pivots[n][q]
+        if v:
+            rows ^= v << p - q
+        else:
+            packed |= 1 << p
+            rows ^= 1 << p
     return packed
 
 
@@ -402,9 +394,10 @@ def _walk(
     nonzero rows (`_packing`).  idx + 1 is idx with its t trailing ones
     cleared and bit t set, so option idx + 1 is option idx XOR flips[t],
     the XOR of gens[:t + 1].  Reduction is linear, so the same holds
-    modulo the bases, and each step is one XOR of packed rows.  Each
-    flips[t] is reduced the first time a step uses it.  The bases must
-    be the same at every step.
+    modulo the bases.  The table holds option idx and flips[t] packed,
+    so each step is one XOR of two ints, and each flips[t] is reduced,
+    packed to packed, the first time a step uses it.  The bases must be
+    the same at every step.
     """
     _, spare, ones = _packing(len(pivots[0]), len(pivots))
     flips = table.flips
@@ -707,7 +700,8 @@ def _search(
     the frame eliminates them once, at its first cut test
     (`_masked_rank`), and each option reduces only its own masked rows,
     against a copy, unless the bound reaches the incumbent with one
-    added to r per nonzero masked row, read off the packed rows.  Once
+    added to r per nonzero masked row, read off the packed rows masked
+    by spreads[child], sets[child] repeated for every sender.  Once
     a probe brings the incumbent down to the root bound, its frame
     returns and the loop stops (see the module docstring).  The
     root bound is |sets[0]|, or `_group_bound` when the incumbent starts
@@ -735,7 +729,7 @@ def _search(
     best = incumbent
     found: Optional[Tuple[int, ...]] = None
     leaves = 0
-    width, spare, ones = _packing(K, N)
+    unit, spare, ones = _packing(K, N)
     seen = [set() for _ in range(K)]
     stored = 0
     # A level with one path into it is entered at most once, so its key
@@ -752,7 +746,7 @@ def _search(
         knows = [((1 << K) - 1) & ~table.parity for table in tables]
         sets = _acyclic_sets(knows)
         sizes = [s.bit_count() for s in sets]
-        spreads = [_pack((s,) * N, width) for s in sets]
+        spreads = [s * unit for s in sets]
         root = sizes[0]
         if incumbent > root + 1:  # the seed is above the MAIS
             root = _group_bound([t.holders for t in tables], knows, root)
@@ -805,7 +799,7 @@ def _search(
             elif not prune or child < first_keyed:
                 yield child, full[child], rank + added
             else:
-                key = _state_key(pivots, width)
+                key = _state_key(pivots, K + 1)
                 if key not in visited:
                     if stored < VISITED_STATE_CAP:
                         visited.add(key)
@@ -877,11 +871,11 @@ def hyperminrank(
         incumbent = inst.K + 1
     value, combo, leaves = _search(tables, inst.N, prune, range(tables[0].count), incumbent)
     assert combo is not None
-    witness = CompositeAdjacency(
-        K=inst.K,
-        N=inst.N,
-        blocks=tuple(zip(*(table.row(idx) for table, idx in zip(tables, combo)))),
-    )
+    blocks = [[0] * inst.K for _ in range(inst.N)]
+    for k, (table, idx) in enumerate(zip(tables, combo)):
+        for n, row in _nonzero_rows(table.row(idx), inst.K):
+            blocks[n][k] = row
+    witness = CompositeAdjacency(K=inst.K, N=inst.N, blocks=tuple(map(tuple, blocks)))
     choice = fits(witness, inst)
     assert choice is not None
     assert witness.sum_rank() == value

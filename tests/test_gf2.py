@@ -7,7 +7,6 @@ from msic.gf2 import (
     basis_add,
     express_in_span,
     gf2_rank,
-    in_span_with_side_info,
     spanning_rows,
     support,
 )
@@ -77,14 +76,6 @@ def test_express_in_span_reproduces_target(rows, target):
 def test_express_prefers_earlier_basis_rows(rows):
     # the zero target must always come back as the empty combination
     assert express_in_span(0, rows) == 0
-
-
-@given(rows_strategy, st.integers(min_value=0, max_value=255),
-       st.sets(st.integers(min_value=0, max_value=7), max_size=4))
-def test_side_info_span_equals_augmented_rank(rows, target, side):
-    side_rows = [1 << i for i in sorted(side)]
-    expected = gf2_rank(rows + side_rows) == gf2_rank(rows + side_rows + [target])
-    assert in_span_with_side_info(target, rows, sorted(side)) == expected
 
 
 def test_support_lists_set_bits():

@@ -29,12 +29,15 @@ for it (`solver._cheapest`) are checked against full enumeration of a
 materialized table, in random search states reached by inserting a
 random prefix of options.  In the same states the kernel's walk of a
 level modulo the bases (`solver._walk`) is checked option by option:
-its packed rows against `solver._modulo` of the option's rows, and,
-unpacked, against the pivots; its increase against the rank increase
-from `gf2_rank`; and the options it yields under a room against those
-whose increase is below it.  `_modulo` is checked to be linear.  The
-residual cut's masked elimination (`solver._masked_rank`) is checked
-against `gf2_rank` of the masked rows.  The acyclic sets
+its packed rows against `solver._modulo` of the referee's rows for the
+option, packed by the test's own `_pack`, and, unpacked, against the
+pivots; its increase against the rank increase from `gf2_rank`; and
+the options it yields under a room against those whose increase is
+below it.  `_modulo` is checked to be linear on packed ints.  The
+witness blocks `hyperminrank` returns are checked against the
+referee's rows of the options `_search` picks.  The residual cut's
+masked elimination (`solver._masked_rank`) is checked against
+`gf2_rank` of the masked rows.  The acyclic sets
 (`solver._acyclic_sets`) are checked against the referee's rule and,
 for their sizes, against the largest acyclic subset found by trying
 every subset.  The kernel's root bound (`solver._group_bound`) is
@@ -108,6 +111,12 @@ def _expand(inst: Instance) -> List[List[Tuple[int, ...]]]:
             [tuple(reduce(or_, column) for column in zip(*parts)) for parts in product(*groups)]
         )
     return tables
+
+
+def _pack(rows: Sequence[int], K: int) -> int:
+    """Per-sender rows as one int, sender n's row (n from 0) at bit
+    n(K + 1): the kernel's packed row format, built on its own."""
+    return sum(row << n * (K + 1) for n, row in enumerate(rows))
 
 
 def _reference_greedy_dive(inst: Instance) -> int:
@@ -451,8 +460,20 @@ def test_tables_match_the_referee_expansion(name, inst):
     tables = _build_tables(inst)
     for table, rows in zip(tables, _expand(inst)):
         assert table.count == len(rows)
-        assert [table.row(i) for i in range(table.count)] == rows
+        assert [table.row(i) for i in range(table.count)] == [_pack(r, inst.K) for r in rows]
         assert table.keys == range(table.count)
+
+
+@pytest.mark.parametrize("name,inst", STATE_INSTANCES, ids=[name for name, _ in STATE_INSTANCES])
+def test_witness_blocks_are_the_referee_rows_of_the_search_options(name, inst):
+    # the options _search picks, expanded by the referee and regrouped per
+    # sender: on fully replicated instances a witness with its senders
+    # swapped would still fit and have the same summed rank
+    tables = _build_tables(inst)
+    incumbent = _greedy_dive(tables, inst.N) + 1
+    _, combo, _ = _search(tables, inst.N, True, range(tables[0].count), incumbent)
+    rows = [options[idx] for options, idx in zip(_expand(inst), combo)]
+    assert hyperminrank(inst).witness.blocks == tuple(zip(*rows))
 
 
 @cache
@@ -472,7 +493,8 @@ def test_walk_is_the_options_modulo_the_bases(i, seed, data):
     K, N = inst.K, inst.N
     pivots = _random_state(expanded, N, random.Random(seed))
     pivot_bits = [sum(1 << p for p, v in enumerate(pv) if v) for pv in pivots]
-    table = tables[data.draw(st.integers(0, K - 1))]
+    level = data.draw(st.integers(0, K - 1))
+    table, options = tables[level], expanded[level]
     start = data.draw(st.integers(0, table.count - 1))
     indices = range(start, min(table.count, start + 64))
     walked = list(solver._walk(pivots, table, indices, [N + 1]))
@@ -483,20 +505,18 @@ def test_walk_is_the_options_modulo_the_bases(i, seed, data):
         (idx, increase) for idx, increase, _ in walked if increase < room
     ]
     for idx, increase, packed in walked:
-        assert packed == solver._modulo(pivots, table.row(idx))
+        assert packed == solver._modulo(pivots, _pack(options[idx], K))
         filled = solver._nonzero_rows(packed, K)
         rows = [0] * N
         for n, row in filled:
             rows[n] = row
-        assert packed == solver._pack(rows, K + 1)  # nothing in the spare bits
+        assert packed == _pack(rows, K)  # nothing in the spare bits
         assert not any(row & bits for row, bits in zip(rows, pivot_bits))
-        assert increase == len(filled) == _increase(pivots, table.row(idx))
+        assert increase == len(filled) == _increase(pivots, options[idx])
         assert (packed == 0) == (increase == 0)
-    vectors = st.tuples(*[st.integers(0, (1 << K) - 1)] * N)
+    vectors = st.tuples(*[st.integers(0, (1 << K) - 1)] * N).map(lambda rows: _pack(rows, K))
     a, b = data.draw(vectors), data.draw(vectors)
-    assert solver._modulo(pivots, solver._xor(a, b)) == (
-        solver._modulo(pivots, a) ^ solver._modulo(pivots, b)
-    )
+    assert solver._modulo(pivots, a ^ b) == solver._modulo(pivots, a) ^ solver._modulo(pivots, b)
 
 
 @given(st.integers(0, len(STATE_INSTANCES) - 1), st.integers(0, 1 << 32), st.data())
