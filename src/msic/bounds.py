@@ -4,14 +4,17 @@ Upper bound: partition the receivers into cliques that one sender can
 serve with a single XOR (mutual side info inside the clique, all of it
 stored at the serving sender).  The partition size certifies itself:
 we build the induced one-row-per-clique code and verify it.  The
-smallest partition is found by branch and bound on the lowest
-uncovered receiver, over bit masks: receiver k is bit k-1 of the
-uncovered set and of each clique, a clique fits when its mask lies
-inside the uncovered one, and cliques with the same receivers are
-tested once.  A subtree searched without improving the partition is
-not searched again: its node count is reused.  Past EXACT_NODE_CAP
-search nodes it stops and keeps the best partition found, flagged
-inexact.
+cover works on receiver masks from end to end: receiver k is bit k-1.
+Each receiver set that some sender can serve is enumerated once, as
+its mask with the senders storing it, and the sets are sorted once,
+largest first, on an int key.  The greedy cover is one pass over that
+list, and the smallest partition is found by branch and bound on the
+lowest uncovered receiver over the same list: a set fits when its
+mask lies inside the uncovered one, and it is tested once for all its
+senders.  A subtree searched without improving the partition is not
+searched again: its node count is reused.  Past EXACT_NODE_CAP search
+nodes it stops and keeps the best partition found, flagged inexact.
+Cliques are built only for the partition returned.
 
 Lower bound: in the complement hypergraph, a vertex set that forms a
 full directed clique with self-loops inside some sender's projection,
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .codec import LinearCode, verify_code
+from .gf2 import support
 from .instance import Instance
 
 __all__ = [
@@ -94,47 +98,92 @@ class ComplementCliqueWitness:
         return frozenset((a, b) for a in self.vertices for b in self.vertices)
 
 
-def _clique_key(c: ImplementableClique) -> Tuple:
-    return (tuple(sorted(c.receivers)), c.sender)
+def _receivers(mask: int) -> FrozenSet[int]:
+    """The receivers of a mask: bit k-1 is receiver k."""
+    return frozenset(k + 1 for k in support(mask))
 
 
-def enumerate_implementable_cliques(inst: Instance) -> List[ImplementableClique]:
-    """Every nonempty subset of some sender's store with mutual side info.
+def _implementable_sets(inst: Instance) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+    """(key, mask, size, senders) for each receiver set with mutual side
+    info that some sender stores whole, in ascending order of its sorted
+    receivers.
 
-    A clique grows only by higher receivers of the store that know, and
-    are known by, every member, so the work follows the cliques rather
-    than the subsets of the store.
+    A set grows, in ascending receiver order, only by higher receivers
+    that know, and are known by, every member, and it carries the AND of
+    its members' holder masks: the senders storing it all, ascending in
+    `senders`.  A branch ends once that AND is 0, so each set comes out
+    once, whatever the number of senders storing it.  The walk is
+    depth first with the lowest receiver tried first, which gives the
+    order of the sorted receiver tuples.
+
+    The key is size << K plus the bit-reversed mask (receiver k at bit
+    K - k).  Among sets of one size, a larger reversed mask is a smaller
+    sorted receiver tuple, so descending keys are ascending
+    (-size, sorted receivers).
     """
-    mutual = [0] * inst.K
+    K = inst.K
+    mutual = [0] * K
     for k, known in enumerate(inst.side_info, 1):
         for m in known:
             if k in inst.side_info[m - 1]:
                 mutual[k - 1] |= 1 << (m - 1)
+    holders = [_receiver_mask(h) for h in inst.holders]
+    senders: Dict[int, Tuple[int, ...]] = {}  # sender mask -> its senders
     found = []
-    for n, store in enumerate(inst.sender_stores, 1):
-        stack = [((), _receiver_mask(store))]
-        while stack:
-            members, candidates = stack.pop()
-            while candidates:
-                low = candidates & -candidates
-                candidates ^= low
-                k = low.bit_length()
-                grown = members + (k,)
-                found.append(ImplementableClique(frozenset(grown), n))
-                stack.append((grown, candidates & mutual[k - 1]))
-    return sorted(found, key=_clique_key)
+    # stack[i] is [mask, reversed mask, size, senders' AND, candidates]
+    # for the set of the lowest i members on the current branch.
+    stack = [[0, 0, 0, (1 << inst.N) - 1, (1 << K) - 1]]
+    while stack:
+        frame = stack[-1]
+        mask, rev, size, common, candidates = frame
+        if not candidates:
+            stack.pop()
+            continue
+        low = candidates & -candidates
+        frame[4] = candidates ^ low
+        k = low.bit_length() - 1
+        common &= holders[k]
+        if common:
+            mask |= low
+            rev |= 1 << (K - 1 - k)
+            size += 1
+            if common not in senders:
+                senders[common] = tuple(n + 1 for n in support(common))
+            found.append((size << K | rev, mask, size, senders[common]))
+            stack.append([mask, rev, size, common, frame[4] & mutual[k]])
+    return found
 
 
-def _greedy_cover(
-    cliques: List[ImplementableClique], K: int
-) -> List[ImplementableClique]:
-    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
-    uncovered = set(range(1, K + 1))
+def enumerate_implementable_cliques(inst: Instance) -> List[ImplementableClique]:
+    """Every nonempty subset of some sender's store with mutual side info,
+    ordered by sorted receivers, then sender."""
+    return [
+        ImplementableClique(_receivers(mask), n)
+        for _, mask, _, senders in _implementable_sets(inst)
+        for n in senders
+    ]
+
+
+def _cover_groups(inst: Instance) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """(mask, size, senders) for each implementable receiver set, largest
+    first and then by sorted receivers: the one sort both covers read."""
+    found = _implementable_sets(inst)
+    found.sort(reverse=True)
+    return [(mask, size, senders) for _, mask, size, senders in found]
+
+
+def _greedy_cover(groups: List[Tuple[int, int, Tuple[int, ...]]], K: int) -> List[Tuple[int, int]]:
+    """(mask, sender) parts: the first group that fits the uncovered set,
+    at its lowest sender, until every receiver is covered.  A group that
+    does not fit never fits again, so one pass over the groups does it."""
+    uncovered = (1 << K) - 1
     chosen = []
-    while uncovered:
-        pick = next(c for c in order if c.receivers <= uncovered)
-        chosen.append(pick)
-        uncovered -= pick.receivers
+    for mask, _, senders in groups:
+        if not mask & ~uncovered:
+            chosen.append((mask, senders[0]))
+            uncovered ^= mask
+            if not uncovered:
+                break
     return chosen
 
 
@@ -147,17 +196,18 @@ def _receiver_mask(receivers: Iterable[int]) -> int:
 
 
 def _exact_cover(
-    cliques: List[ImplementableClique],
+    groups: List[Tuple[int, int, Tuple[int, ...]]],
     K: int,
-    seed: List[ImplementableClique],
-) -> Tuple[List[ImplementableClique], bool]:
+    seed: List[Tuple[int, int]],
+) -> Tuple[List[Tuple[int, int]], bool]:
     """Branch-and-bound set partition on the lowest uncovered receiver.
 
-    The uncovered set and every clique are receiver masks; cliques with
-    the same mask form one group, tested for fit once.  Every child
-    counts as a node toward EXACT_NODE_CAP before it is tested, as in a
-    search that enters each child, so a child cut at once costs no call.
-    Returns the best partition found and whether the cap tripped.
+    `groups` is `_cover_groups`' list and a part is a (mask, sender)
+    pair, as in the greedy `seed`.  A group is tested for fit once, and
+    each of its senders is a child.  Every child counts as a node toward
+    EXACT_NODE_CAP before it is tested, as in a search that enters each
+    child, so a child cut at once costs no call.  Returns the best
+    partition found and whether the cap tripped.
 
     The search runs on its own stack of frames, so a partition may have
     as many parts as there are receivers, past the recursion limit.  A
@@ -175,7 +225,7 @@ def _exact_cover(
     cap trips at the same node with the same partition.  One key per
     completed frame keeps at most EXACT_NODE_CAP keys.
     """
-    max_size = max(len(c.receivers) for c in cliques)
+    max_size = groups[0][1]
     cap = EXACT_NODE_CAP
     best = list(seed)
     best_m = len(seed)
@@ -184,20 +234,11 @@ def _exact_cover(
         return best, True
     if -(-K // max_size) >= best_m:
         return best, False
-    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
-    # The sort puts cliques with the same receivers next to each other.
-    groups: List[Tuple[int, int, List[ImplementableClique]]] = []
-    for c in order:
-        mask = _receiver_mask(c.receivers)
-        if groups and groups[-1][0] == mask:
-            groups[-1][2].append(c)
-        else:
-            groups.append((mask, len(c.receivers), [c]))
     by_low = [[g for g in groups if g[0] >> k & 1] for k in range(K)]
     full = (1 << K) - 1
     nodes = 1
     capped = False
-    parts: List[ImplementableClique] = []
+    parts: List[Tuple[int, int]] = []
     searched: Dict[int, int] = {}
 
     def rec(uncovered: int) -> Iterator[int]:
@@ -210,20 +251,20 @@ def _exact_cover(
         left = uncovered.bit_count()
         covered = full ^ uncovered
         children = iter(by_low[(uncovered & -uncovered).bit_length() - 1])
-        for mask, width, same in children:
+        for mask, width, senders in children:
             if mask & covered:
                 continue
             if width < left and depth - (width - left) // max_size >= best_m:
-                # Cliques come largest first, so this child and every
+                # Groups come largest first, so this child and every
                 # later one that fits are cut by the same bound.
-                nodes += len(same) + sum(
-                    len(g) for m, _, g in children if not m & covered
+                nodes += len(senders) + sum(
+                    len(s) for m, _, s in children if not m & covered
                 )
                 if nodes > cap:
                     capped = True
                     return
                 break
-            for c in same:
+            for n in senders:
                 nodes += 1
                 if nodes > cap:
                     capped = True
@@ -231,7 +272,7 @@ def _exact_cover(
                 if width == left:
                     if depth < best_m:
                         best_m = depth
-                        best = parts + [c]
+                        best = parts + [(mask, n)]
                 elif depth - (width - left) // max_size < best_m:
                     rest = uncovered ^ mask
                     key = (best_m - depth - 1) << K | rest
@@ -241,7 +282,7 @@ def _exact_cover(
                             capped = True
                             return
                         continue
-                    parts.append(c)
+                    parts.append((mask, n))
                     yield rest
                     parts.pop()
         if best_m - depth == slack:
@@ -270,21 +311,27 @@ def clique_cover_upper(
 ) -> Tuple[int, CliqueCover]:
     """Smallest found partition of [K] into implementable cliques.
 
-    Exact mode proves minimality by branch and bound; if the node cap
-    trips, the best partition found so far is returned with
-    exact=False.  The induced code is verified before returning, so m
-    transmissions provably suffice.
+    Both modes read one sorted list of receiver masks (`_cover_groups`).
+    Greedy mode takes the first set that fits, at its lowest sender,
+    until all are covered.  Exact mode starts from that cover and proves
+    minimality by branch and bound; if the node cap trips, the best
+    partition found so far is returned with exact=False.  The induced
+    code is verified before returning, so m transmissions provably
+    suffice.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    cliques = enumerate_implementable_cliques(inst)
-    greedy = _greedy_cover(cliques, inst.K)
+    groups = _cover_groups(inst)
+    greedy = _greedy_cover(groups, inst.K)
     if mode == "greedy":
         chosen, exact = greedy, False
     else:
-        chosen, capped = _exact_cover(cliques, inst.K, greedy)
+        chosen, capped = _exact_cover(groups, inst.K, greedy)
         exact = not capped
-    cover = CliqueCover(cliques=tuple(chosen), exact=exact)
+    cover = CliqueCover(
+        cliques=tuple(ImplementableClique(_receivers(mask), n) for mask, n in chosen),
+        exact=exact,
+    )
     code = induced_code(cover, inst)
     if not verify_code(code, inst, mode="algebraic"):
         raise RuntimeError("induced cover code failed verification")

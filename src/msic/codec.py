@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .gf2 import express_in_span, spanning_rows, support
+from .gf2 import eliminate, express, express_in_span, spanning_rows, support
 from .hypergraph import CompositeAdjacency, fits
 from .instance import Instance
 
@@ -190,11 +190,20 @@ def _decodings(
     units of side, or None when receiver k cannot decode, after which
     nothing more is yielded.  Both verify modes and the converse read
     their decoding from here.
+
+    The code's vectors are eliminated once.  Each receiver continues
+    from a copy of that table with its side units, then expresses e_k.
+    Pivots are claimed in basis order either way, so mask is the one
+    `express_in_span(e_k, vectors + units)` returns.
     """
     vectors = [vec for vs in code.senders for vec in vs]
+    shared: Dict[int, Tuple[int, int]] = {}
+    eliminate(shared, vectors, 0)
     for k in range(1, inst.K + 1):
         side = sorted(inst.side_info[k - 1])
-        mask = express_in_span(1 << (k - 1), vectors + [1 << (j - 1) for j in side])
+        table = dict(shared)
+        eliminate(table, [1 << (j - 1) for j in side], len(vectors))
+        mask = express(1 << (k - 1), table)
         yield k, mask, side
         if mask is None:
             return

@@ -13,6 +13,8 @@ __all__ = [
     "gf2_rank",
     "spanning_rows",
     "express_in_span",
+    "eliminate",
+    "express",
     "basis_add",
     "support",
 ]
@@ -60,16 +62,15 @@ def spanning_rows(rows: List[int]) -> List[int]:
     return kept
 
 
-def express_in_span(target: int, basis: List[int]) -> Optional[int]:
-    """Coefficients writing target as an XOR of basis vectors.
+def eliminate(table: Dict[int, Tuple[int, int]], basis: Iterable[int], first: int) -> None:
+    """Insert basis vectors into a pivot table, in place, for `express`.
 
-    Returns a mask whose bit i selects basis[i], or None when target is
-    outside the span.  Elimination claims pivots in basis order, so ties
-    between equivalent solutions resolve toward earlier basis vectors
-    and the output is deterministic.
+    Entry pivot -> (row, coefficients): row has that leading bit and is
+    the XOR of the vectors its coefficient mask selects, bit first + i
+    standing for the i-th vector given here.  Vectors claim pivots in
+    order, and a dependent one adds no entry.
     """
-    table: Dict[int, Tuple[int, int]] = {}
-    for i, vec in enumerate(basis):
+    for i, vec in enumerate(basis, first):
         v, c = vec, 1 << i
         while v:
             pivot = v.bit_length() - 1
@@ -79,6 +80,11 @@ def express_in_span(target: int, basis: List[int]) -> Optional[int]:
                 break
             v ^= entry[0]
             c ^= entry[1]
+
+
+def express(target: int, table: Dict[int, Tuple[int, int]]) -> Optional[int]:
+    """Coefficients writing target over the vectors of an `eliminate`
+    table, or None when target is outside their span."""
     v, c = target, 0
     while v:
         pivot = v.bit_length() - 1
@@ -88,6 +94,19 @@ def express_in_span(target: int, basis: List[int]) -> Optional[int]:
         v ^= entry[0]
         c ^= entry[1]
     return c
+
+
+def express_in_span(target: int, basis: List[int]) -> Optional[int]:
+    """Coefficients writing target as an XOR of basis vectors.
+
+    Returns a mask whose bit i selects basis[i], or None when target is
+    outside the span.  Elimination claims pivots in basis order, so ties
+    between equivalent solutions resolve toward earlier basis vectors
+    and the output is deterministic.
+    """
+    table: Dict[int, Tuple[int, int]] = {}
+    eliminate(table, basis, 0)
+    return express(target, table)
 
 
 def support(vec: int) -> Tuple[int, ...]:

@@ -735,7 +735,8 @@ def _search(
     # A level with one path into it is entered at most once, so its key
     # could never match: keying starts at the first level with more.
     first_keyed = last
-    paths = len(first_range)
+    # stop - start, as len() of a range past 2^63 - 1 raises
+    paths = first_range.stop - first_range.start
     for child in range(1, last):
         if paths > 1:
             first_keyed = child
@@ -755,7 +756,7 @@ def _search(
 
     def probe(indices: range, rank: int) -> None:
         nonlocal best, found, leaves
-        leaves += len(indices)
+        leaves += indices.stop - indices.start
         cheapest = _cheapest(pivots, last_table, indices, best - rank)
         if cheapest is not None:
             delta, combo[last] = cheapest

@@ -23,6 +23,7 @@ from msic.bounds import (
     induced_code,
 )
 from msic.codec import verify_code
+from msic.gf2 import support
 from msic.hypergraph import build, complement, sender_projection_pairs
 from msic.instance import Instance, generate_embedded, generate_random
 from msic.solver import hyperminrank, minrank_single
@@ -231,6 +232,11 @@ def test_lower_matches_the_scan(inst):
     assert complement_clique_lower(inst) == _scan_lower(inst)
 
 
+def _clique_key(c: ImplementableClique) -> Tuple:
+    """The order of `enumerate_implementable_cliques`."""
+    return (tuple(sorted(c.receivers)), c.sender)
+
+
 def _scan_cliques(inst):
     """The subset scan the extension search replaced, as a referee."""
     found = set()
@@ -245,7 +251,7 @@ def _scan_cliques(inst):
                     if k2 != k
                 ):
                     found.add(ImplementableClique(frozenset(subset), n))
-    return sorted(found, key=bounds._clique_key)
+    return sorted(found, key=_clique_key)
 
 
 def test_cliques_match_the_scan_on_the_suite():
@@ -284,6 +290,22 @@ def test_lower_at_large_k():
     )
 
 
+def _referee_greedy(
+    cliques: List[ImplementableClique], K: int
+) -> List[ImplementableClique]:
+    """The greedy cover the one pass over receiver masks replaced, as a
+    referee: the first clique that fits, in (-size, `_clique_key`) order,
+    until every receiver is covered."""
+    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
+    uncovered = set(range(1, K + 1))
+    chosen = []
+    while uncovered:
+        pick = next(c for c in order if c.receivers <= uncovered)
+        chosen.append(pick)
+        uncovered -= pick.receivers
+    return chosen
+
+
 def _referee_cover(
     cliques: List[ImplementableClique],
     K: int,
@@ -291,10 +313,10 @@ def _referee_cover(
 ) -> Tuple[List[ImplementableClique], bool]:
     """The frozenset cover search the mask kernel replaced, as a referee.
 
-    Verbatim but for the `bounds.` prefix on `_clique_key` and on the
-    cap, which lets one monkeypatch cap both searches.
+    Verbatim but for the `bounds.` prefix on the cap, which lets one
+    monkeypatch cap both searches.
     """
-    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + bounds._clique_key(c))
+    order = sorted(cliques, key=lambda c: (-len(c.receivers),) + _clique_key(c))
     by_receiver: Dict[int, List[ImplementableClique]] = {
         k: [c for c in order if k in c.receivers] for k in range(1, K + 1)
     }
@@ -345,6 +367,29 @@ SWEPT = [(f"suite{i}", inst) for i, inst in enumerate(random_suite(50))] + [
 ] + [(f"replicated{i}", inst) for i, inst in enumerate(REPLICATED)]
 
 
+def _as_cliques(parts):
+    """The kernel's (mask, sender) parts as cliques."""
+    return [ImplementableClique(frozenset(k + 1 for k in support(mask)), n) for mask, n in parts]
+
+
+def _cover_args(inst):
+    """The kernel's arguments: the sorted receiver masks, K and the
+    greedy seed."""
+    groups = bounds._cover_groups(inst)
+    return groups, inst.K, bounds._greedy_cover(groups, inst.K)
+
+
+def _referee_args(inst, args):
+    """The referee's arguments for the same search: every clique, K and
+    the kernel's seed as cliques."""
+    return enumerate_implementable_cliques(inst), inst.K, _as_cliques(args[2])
+
+
+def _kernel_cover(args):
+    cover, capped = bounds._exact_cover(*args)
+    return _as_cliques(cover), capped
+
+
 def _node_total(args, monkeypatch):
     """The least cap at which the referee finishes."""
     low, high = 0, bounds.EXACT_NODE_CAP
@@ -361,35 +406,38 @@ def _node_total(args, monkeypatch):
 def test_cover_matches_the_referee_at_every_cap(inst, monkeypatch):
     # The cap trips at the same node only if both count nodes alike, so
     # any difference in the counting shows at some cap.
-    cliques = enumerate_implementable_cliques(inst)
-    args = (cliques, inst.K, bounds._greedy_cover(cliques, inst.K))
-    total = _node_total(args, monkeypatch)
+    args = _cover_args(inst)
+    referee = _referee_args(inst, args)
+    total = _node_total(referee, monkeypatch)
     caps = range(total + 2)
     if total > SWEEP_NODES:
         caps = [*range(SWEEP_NODES), *range(SWEEP_NODES, total - 1, 97), total - 1, total, total + 1]
     for cap in caps:
         monkeypatch.setattr(bounds, "EXACT_NODE_CAP", cap)
-        assert bounds._exact_cover(*args) == _referee_cover(*args), cap
+        assert _kernel_cover(args) == _referee_cover(*referee), cap
 
 
 @given(instances(max_k=9, max_n=4), st.data())
 @settings(max_examples=200, deadline=None)
 def test_cover_matches_the_referee_at_a_drawn_cap(inst, data):
-    cliques = enumerate_implementable_cliques(inst)
-    args = (cliques, inst.K, bounds._greedy_cover(cliques, inst.K))
+    args = _cover_args(inst)
+    referee = _referee_args(inst, args)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        cap = data.draw(st.integers(0, _node_total(args, monkeypatch) + 1), label="cap")
+        cap = data.draw(st.integers(0, _node_total(referee, monkeypatch) + 1), label="cap")
         monkeypatch.setattr(bounds, "EXACT_NODE_CAP", cap)
-        assert bounds._exact_cover(*args) == _referee_cover(*args)
+        assert _kernel_cover(args) == _referee_cover(*referee)
 
 
-@pytest.mark.parametrize("K, seed", [(13, 4), (13, 14), (14, 21), (14, 36)])
+CAPPED = [(13, 4), (13, 14), (14, 21), (14, 36)]
+
+
+@pytest.mark.parametrize("K, seed", CAPPED)
 def test_capped_cover_matches_the_referee(K, seed):
-    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
-    args = (cliques, K, bounds._greedy_cover(cliques, K))
-    cover, capped = bounds._exact_cover(*args)
+    inst = generate_embedded(K, seed)
+    args = _cover_args(inst)
+    cover, capped = _kernel_cover(args)
     assert capped
-    assert (cover, capped) == _referee_cover(*args)
+    assert (cover, capped) == _referee_cover(*_referee_args(inst, args))
 
 
 @pytest.mark.parametrize("K, seed", [(12, 12), (13, 83)])
@@ -397,9 +445,28 @@ def test_cover_matches_the_referee_where_a_subtree_improves_twice(K, seed):
     # A receiver set whose first search improved the cover comes up again
     # one part higher, with the same slack, and improves it again; a
     # count stored after an improvement would skip the better partition.
-    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
-    args = (cliques, K, bounds._greedy_cover(cliques, K))
-    assert bounds._exact_cover(*args) == _referee_cover(*args)
+    inst = generate_embedded(K, seed)
+    args = _cover_args(inst)
+    assert _kernel_cover(args) == _referee_cover(*_referee_args(inst, args))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [i for _, i in SWEPT] + [generate_embedded(K, seed) for K, seed in CAPPED],
+    ids=[n for n, _ in SWEPT] + [f"embedded{K}-g{seed}" for K, seed in CAPPED],
+)
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_cover_upper_matches_the_referee_pipeline(inst, mode):
+    # The subset scan, the greedy cover over sorted cliques and the
+    # frozenset search, none of which reads a receiver mask.
+    cliques = _scan_cliques(inst)
+    greedy = _referee_greedy(cliques, inst.K)
+    if mode == "greedy":
+        chosen, exact = greedy, False
+    else:
+        chosen, capped = _referee_cover(cliques, inst.K, greedy)
+        exact = not capped
+    assert clique_cover_upper(inst, mode) == (len(chosen), CliqueCover(tuple(chosen), exact))
 
 
 def _search_calls(args) -> int:
@@ -430,8 +497,7 @@ def test_capped_cover_reuses_searched_subtrees(K, seed, calls):
     # embedded13-g14.  Reusing the node count of every subtree searched
     # without improvement leaves these frames: a repeat is looked up in
     # its parent, so it builds none.
-    cliques = enumerate_implementable_cliques(generate_embedded(K, seed))
-    assert _search_calls((cliques, K, bounds._greedy_cover(cliques, K))) == calls
+    assert _search_calls(_cover_args(generate_embedded(K, seed))) == calls
 
 
 def test_capped_cover_is_flagged_inexact():

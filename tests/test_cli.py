@@ -335,6 +335,21 @@ def test_bounds_on_a_large_sparse_instance(tmp_path):
     assert results["lower"] == results["upper"] == K
 
 
+def test_solve_past_the_ssize_limit_exits_0(tmp_path, monkeypatch):
+    # 2^80 candidates: counted without len() of a range, which overflows.
+    target = tmp_path / "mutual40.json"
+    target.write_text(serialize_instance(Instance(
+        K=2, N=40, sender_stores=(frozenset({1, 2}),) * 40,
+        side_info=(frozenset({2}), frozenset({1})),
+    )))
+    monkeypatch.setenv("MSIC_SEARCH_CAP", "80")
+    rc, out, err = _fresh_process(["solve", str(target), "--json"])
+    assert (rc, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["hyperminrank"] == 1
+    assert results["candidates_examined"] == 1 << 80
+
+
 def _deep_instance(K: int, side_info):
     return serialize_instance(Instance(
         K=K, N=1, sender_stores=(frozenset(range(1, K + 1)),),
@@ -659,10 +674,12 @@ def test_verify_decodes_each_receiver_once(corpus_dir, capsys, monkeypatch):
     code = str(corpus_dir / "ex2.code.json")
     assert run(capsys, "solve", path, "--emit-code", code)[0] == 0
     counts = {}
-    _count_calls(monkeypatch, counts, (codec, "express_in_span"), (codec, "check_support"))
+    sites = [(codec, "eliminate"), (codec, "express"), (codec, "check_support")]
+    _count_calls(monkeypatch, counts, *sites)
     rc, rep, _ = run_json(capsys, "verify", path, "--code", code)
     assert rc == 0 and rep["results"]["valid"] is True
-    assert counts == {"express_in_span": 6, "check_support": 1}  # K = 6
+    # K = 6: the code's vectors once, then each receiver's side units
+    assert counts == {"eliminate": 7, "express": 6, "check_support": 1}
 
 
 def test_solve_fits_its_witness_once(corpus_dir, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import corpus_text, random_suite
+from conftest import corpus_text, instances, random_suite
 from msic import codec
 from msic.bounds import clique_cover_upper, induced_code
 from msic.codec import (
@@ -22,7 +22,7 @@ from msic.codec import (
     serialize_code,
     verify_code,
 )
-from msic.gf2 import express_in_span
+from msic.gf2 import eliminate, express, express_in_span
 from msic.hypergraph import CompositeAdjacency, fits
 from msic.instance import generate_random
 from msic.solver import hyperminrank
@@ -182,16 +182,18 @@ def _simulate_per_message(code, inst):
     """The per-message simulation the bit-sliced one replaced, as a
     referee.
 
-    Verbatim but for flattening the code itself, calling
-    codec.express_in_span and reading the codec constants, so that a
-    monkeypatch reaches both simulations.
+    Verbatim but for flattening the code itself, calling codec.express
+    on the basis's `eliminate` table and reading the codec constants, so
+    that a monkeypatch reaches both simulations.
     """
     vectors = [vec for vs in code.senders for vec in vs]
     plans = []
     for k in range(1, inst.K + 1):
         side = sorted(inst.side_info[k - 1])
         basis = vectors + [1 << (j - 1) for j in side]
-        coeffs = codec.express_in_span(1 << (k - 1), basis)
+        table = {}
+        eliminate(table, basis, 0)
+        coeffs = codec.express(1 << (k - 1), table)
         if coeffs is None:
             return False
         sel_tx = [i for i in range(len(vectors)) if (coeffs >> i) & 1]
@@ -260,9 +262,41 @@ def test_wrong_decode_plan_fails_the_simulation(K, monkeypatch):
     inst = generate_random(K, 3, delta=0.5, r0=K // 2, seed=K)
     code = induced_code(clique_cover_upper(inst, mode="greedy")[1], inst)
     assert verify_code(code, inst, mode="simulate")
-    monkeypatch.setattr(
-        codec, "express_in_span", lambda target, basis: express_in_span(target, basis) ^ 1
-    )
+    monkeypatch.setattr(codec, "express", lambda target, table: express(target, table) ^ 1)
     assert not verify_code(code, inst, mode="simulate")
     assert codec.verdicts(code, inst) == (True, False)
     assert not _simulate_per_message(code, inst)
+
+
+def _decodings_from_scratch(code, inst):
+    """Each receiver's mask from its own elimination of the code's
+    vectors and its side units, as a referee for the shared one."""
+    vectors = [vec for vs in code.senders for vec in vs]
+    out = []
+    for k in range(1, inst.K + 1):
+        side = sorted(inst.side_info[k - 1])
+        mask = express_in_span(1 << (k - 1), vectors + [1 << (j - 1) for j in side])
+        out.append((k, mask, side))
+        if mask is None:
+            break
+    return out
+
+
+@given(instances(max_k=20, max_n=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_elimination_decodes_as_from_scratch(inst, data):
+    # The greedy cover code always decodes; a drawn one mostly does not.
+    if data.draw(st.booleans(), label="cover code"):
+        code = induced_code(clique_cover_upper(inst, mode="greedy")[1], inst)
+    else:
+        code = LinearCode(
+            K=inst.K,
+            senders=tuple(
+                tuple(
+                    vec & sum(1 << (m - 1) for m in store)
+                    for vec in data.draw(st.lists(st.integers(0, (1 << inst.K) - 1), max_size=5))
+                )
+                for store in inst.sender_stores
+            ),
+        )
+    assert list(codec._decodings(code, inst)) == _decodings_from_scratch(code, inst)

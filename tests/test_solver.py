@@ -231,6 +231,21 @@ def test_search_cap_via_environment(ex1, monkeypatch):
     assert hyperminrank(ex1).hyperminrank == 2
 
 
+def test_search_counts_options_past_the_ssize_limit():
+    # Both messages at each of 40 senders, receivers know each other:
+    # the solve examines 2^80 candidates, and len() of a range that long
+    # raises OverflowError.
+    inst = Instance(
+        K=2,
+        N=40,
+        sender_stores=(frozenset({1, 2}),) * 40,
+        side_info=(frozenset({2}), frozenset({1})),
+    )
+    report = hyperminrank(inst, cap=80)
+    assert report.hyperminrank == 1
+    assert report.candidates_examined == 1 << 80
+
+
 class _CapPassed(Exception):
     pass
 
