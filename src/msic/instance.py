@@ -69,18 +69,20 @@ class Instance:
             out.append(f"expected {self.K} side-information sets, got {len(self.side_info)}")
         if out:
             raise InstanceValidationError(out)
+        # one subset test per set; a set's messages are listed only when it fails
+        K = self.K
+        messages = frozenset(range(1, K + 1))
         for n, store in enumerate(self.sender_stores, start=1):
-            for m in store:
-                if not 1 <= m <= self.K:
-                    out.append(f"sender {n} stores out-of-range message {m}")
+            if not messages.issuperset(store):
+                out += [f"sender {n} stores out-of-range message {m}" for m in store if not 1 <= m <= K]
         for k, known in enumerate(self.side_info, start=1):
-            for m in known:
-                if not 1 <= m <= self.K:
-                    out.append(f"receiver {k} has out-of-range side information {m}")
+            if not messages.issuperset(known):
+                out += [f"receiver {k} has out-of-range side information {m}" for m in known if not 1 <= m <= K]
             if k in known:
                 out.append(f"receiver {k} lists its own demand {k} as side information")
         stored = frozenset().union(*self.sender_stores)
-        out += [f"message {m} is stored at no sender" for m in range(1, self.K + 1) if m not in stored]
+        if not messages <= stored:
+            out += [f"message {m} is stored at no sender" for m in range(1, K + 1) if m not in stored]
         if out:
             raise InstanceValidationError(out)
 
@@ -131,14 +133,15 @@ _FIELDS = ("K", "N", "senders", "receivers")
 
 
 def _index_list(raw: object, what: str) -> FrozenSet[int]:
-    if not isinstance(raw, list):
+    if type(raw) is not list and not isinstance(raw, list):
         raise InstanceFormatError(f"{what} must be an array, got {type(raw).__name__}")
     for v in raw:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise InstanceFormatError(f"{what} holds a non-integer entry {v!r}")
-    if len(set(raw)) != len(raw):
+    entries = frozenset(raw)
+    if len(entries) != len(raw):
         raise InstanceFormatError(f"{what} holds duplicate entries")
-    return frozenset(raw)
+    return entries
 
 
 def parse_instance(text: str) -> Instance:
@@ -171,15 +174,22 @@ def parse_instance(text: str) -> Instance:
     return Instance(K=obj["K"], N=obj["N"], sender_stores=stores, side_info=known)
 
 
+def _sorted_arrays(sets: Tuple[FrozenSet[int], ...]) -> str:
+    """The sets as a JSON array of ascending int arrays, no spaces."""
+    return str(list(map(sorted, sets))).replace(" ", "")
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON for an instance: sorted arrays, compact separators."""
-    payload = {
-        "K": inst.K,
-        "N": inst.N,
-        "senders": [sorted(s) for s in inst.sender_stores],
-        "receivers": [sorted(r) for r in inst.side_info],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON for an instance: sorted arrays, compact separators.
+
+    Written directly from the sorted ints; the text is that of
+    `json.dumps({"K": K, "N": N, "senders": [...], "receivers": [...]},
+    sort_keys=True, separators=(",", ":"))`.
+    """
+    return (
+        f'{{"K":{inst.K},"N":{inst.N},"receivers":{_sorted_arrays(inst.side_info)},'
+        f'"senders":{_sorted_arrays(inst.sender_stores)}}}'
+    )
 
 
 # ---- generators ----

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -119,19 +120,92 @@ def test_empty_path_exits_2(corpus_dir, capsys, flag):
     assert err == "error: cannot read : [Errno 2] No such file or directory: ''\n"
 
 
+# The three commands that write a file, each ending in the option that
+# takes the file's path; the "out" one also prints what it writes.
+OUTPUT_ARGV = {
+    "emit-code": ("solve", "ex1.json", "--emit-code"),
+    "out": ("solve", "ex1.json", "--json", "--out"),
+    "gen-out": ("gen", "--k", "3", "--n", "2", "--out"),
+}
+
+
+def write_output(capsys, corpus_dir, kind, target):
+    args = [str(corpus_dir / a) if a.endswith(".json") else a for a in OUTPUT_ARGV[kind]]
+    rc, out, err = run(capsys, *args, str(target))
+    assert (rc, err) == (0, "")
+    return out
+
+
+def fresh_output(capsys, corpus_dir, kind):
+    """The bytes `kind` writes to a path that did not exist."""
+    fresh = corpus_dir / f"fresh-{kind}.json"
+    write_output(capsys, corpus_dir, kind, fresh)
+    return fresh.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
-    ("solve", "ex1.json", "--emit-code"),
-    ("solve", "ex1.json", "--out"),
-    ("gen", "--k", "3", "--n", "2", "--out"),
+    # the last entry is the target, relative to the corpus directory:
+    # a file in a missing directory, then the directory itself
+    ("solve", "ex1.json", "--emit-code", "missing/out.json"),
+    ("solve", "ex1.json", "--out", "missing/out.json"),
+    ("gen", "--k", "3", "--n", "2", "--out", "missing/out.json"),
+    ("solve", "ex1.json", "--emit-code", "."),
+    ("solve", "ex1.json", "--out", "."),
+    ("gen", "--k", "3", "--n", "2", "--out", "."),
 ])
 def test_unwritable_output_path_exits_2(corpus_dir, capsys, argv):
+    *argv, target = argv
     args = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
-    target = str(corpus_dir / "missing" / "out.json")
+    target = str(corpus_dir / target)
     rc, out, err = run(capsys, *args, target)
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", OUTPUT_ARGV)
+def test_shorter_output_over_a_longer_file(corpus_dir, capsys, kind):
+    target = corpus_dir / "old.json"
+    target.write_text("x" * 10_000)  # longer than the output and than a page
+    printed = write_output(capsys, corpus_dir, kind, target)
+    # a report names its own path, so a fresh one is what the call printed
+    fresh = printed.encode() if kind == "out" else fresh_output(capsys, corpus_dir, kind)
+    assert target.read_bytes() == fresh
+
+
+def test_output_through_a_symlink_updates_its_target(corpus_dir, capsys):
+    target = corpus_dir / "target.json"
+    target.write_text("x" * 10_000)
+    link = corpus_dir / "link.json"
+    link.symlink_to(target)
+    write_output(capsys, corpus_dir, "emit-code", link)
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh_output(capsys, corpus_dir, "emit-code")
+
+
+def test_output_to_a_hard_link_updates_the_file(corpus_dir, capsys):
+    first = corpus_dir / "first.json"
+    first.write_text("x" * 10_000)
+    second = corpus_dir / "second.json"
+    os.link(first, second)
+    write_output(capsys, corpus_dir, "emit-code", second)
+    assert first.stat().st_ino == second.stat().st_ino
+    assert first.read_bytes() == fresh_output(capsys, corpus_dir, "emit-code")
+
+
+def test_overwritten_output_keeps_its_mode(corpus_dir, capsys):
+    target = corpus_dir / "old.json"
+    target.write_text("x" * 10_000)
+    target.chmod(0o640)
+    write_output(capsys, corpus_dir, "emit-code", target)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_bytes() == fresh_output(capsys, corpus_dir, "emit-code")
+
+
+@pytest.mark.parametrize("kind", OUTPUT_ARGV)
+def test_output_to_dev_null_exits_0(corpus_dir, capsys, kind):
+    write_output(capsys, corpus_dir, kind, os.devnull)
 
 
 def test_solve_malformed_instance_exits_2(capsys, tmp_path):
