@@ -577,11 +577,6 @@ def _parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentPars
     return parser, commands
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call."""
-    return _parsers()[0]
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]

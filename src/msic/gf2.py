@@ -22,12 +22,7 @@ __all__ = [
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of the given bit-packed rows."""
-    table: Dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        if basis_add(table, row) is not None:
-            rank += 1
-    return rank
+    return len(spanning_rows(rows))
 
 
 def basis_add(table: Dict[int, int], row: int) -> Optional[int]:
@@ -47,7 +42,7 @@ def basis_add(table: Dict[int, int], row: int) -> Optional[int]:
     return None
 
 
-def spanning_rows(rows: List[int]) -> List[int]:
+def spanning_rows(rows: Iterable[int]) -> List[int]:
     """Indices (0-based, ascending) of a greedy row basis.
 
     Scans rows top to bottom and keeps each row that is independent of

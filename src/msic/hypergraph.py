@@ -9,6 +9,12 @@ Edges are 4-tuples (k, k2, n, n2): receiver k, message k2, sender pair
 
 The composite adjacency of a hypergraph (or of a selected sub-hypergraph)
 is a list of N bit matrices A_1..A_N, one K x K block per sender.
+
+Each rule is stated once.  `build` holds the edge classes, and
+`adjacency` reads a hypergraph's edges rather than restating them.
+`fits` holds the fitting criterion and the normalized form of a
+selection; `sub_adjacency` checks only a selection's shape and index
+ranges and then asks `fits` to give the selection back.
 """
 
 from __future__ import annotations
@@ -91,7 +97,11 @@ class SubChoice:
     demand_senders[k-1]   senders whose demand edge for k is selected
     cached_edges[k-1]     selected cached edges as (message, sender) pairs
     coupled_senders[k-1]  pairs (message k2, even sender set), k2 ascending,
-                          empty sender sets omitted
+                          each k2 once, empty sender sets omitted
+
+    All three fields and each coupled_senders entry are tuples.  The
+    normalized form is what `fits` returns; it is the one place that
+    states it, and `sub_adjacency` rejects any other form.
     """
 
     demand_senders: Tuple[FrozenSet[int], ...]
@@ -126,75 +136,51 @@ def build(inst: Instance) -> SideInfoHypergraph:
 
 
 def adjacency(hg: SideInfoHypergraph) -> CompositeAdjacency:
-    """Composite adjacency of the full hypergraph.
+    """Composite adjacency of a hypergraph, read from its edges.
 
-    Demand and cached positions are 1; a position covered only by
-    coupled edges carries the parity of the number of partner senders.
+    A demand or cached edge (k, k2, n, n) sets entry (k, k2) of A_n.  A
+    coupled edge (k, k2, n, n2) flips entry (k, k2) of A_n and of A_n2,
+    so a position covered only by coupled edges carries the parity of
+    the number of partner senders.  The edge classes themselves are
+    `build`'s (or `complement`'s); nothing here restates them.
     """
     inst = hg.inst
-    holders = inst.holders
-    blocks = []
-    for n in range(1, inst.N + 1):
-        rows = []
-        store = inst.sender_stores[n - 1]
-        for k in range(1, inst.K + 1):
-            row = 0
-            for k2 in range(1, inst.K + 1):
-                if k2 == k:
-                    bit = 1 if k in store else 0
-                elif k2 in inst.side_info[k - 1]:
-                    bit = 1 if k2 in store else 0
-                elif n in holders[k2 - 1]:
-                    bit = (len(holders[k2 - 1]) - 1) & 1
-                else:
-                    bit = 0
-                row |= bit << (k2 - 1)
-            rows.append(row)
-        blocks.append(tuple(rows))
-    return CompositeAdjacency(K=inst.K, N=inst.N, blocks=tuple(blocks))
-
-
-def _check_choice(choice: SubChoice, inst: Instance) -> None:
-    holders = inst.holders
-    if (
-        len(choice.demand_senders) != inst.K
-        or len(choice.cached_edges) != inst.K
-        or len(choice.coupled_senders) != inst.K
-    ):
-        raise ValueError("choice must carry one entry per receiver")
-    for k in range(1, inst.K + 1):
-        dsel = choice.demand_senders[k - 1]
-        if not dsel.issubset(holders[k - 1]):
-            raise ValueError(f"receiver {k}: demand senders {sorted(dsel)} not all store {k}")
-        if len(dsel) % 2 != 1:
-            raise ValueError(f"receiver {k}: selected demand edge count must be odd")
-        for m, n in choice.cached_edges[k - 1]:
-            if m not in inst.side_info[k - 1] or n not in holders[m - 1]:
-                raise ValueError(f"receiver {k}: ({m},{n}) is not a cached edge")
-        for k2, senders in choice.coupled_senders[k - 1]:
-            if k2 == k or k2 in inst.side_info[k - 1]:
-                raise ValueError(f"receiver {k}: message {k2} admits no coupled edges")
-            if not senders or len(senders) % 2 != 0:
-                raise ValueError(f"receiver {k}: coupled sender set for {k2} must be even and non-empty")
-            if not senders.issubset(holders[k2 - 1]):
-                raise ValueError(f"receiver {k}: coupled senders for {k2} must all store {k2}")
+    rows = [[0] * inst.K for _ in range(inst.N)]
+    for e in hg.demand | hg.cached:
+        rows[e.n - 1][e.k - 1] |= 1 << (e.k2 - 1)
+    for e in hg.coupled:
+        rows[e.n - 1][e.k - 1] ^= 1 << (e.k2 - 1)
+        rows[e.n2 - 1][e.k - 1] ^= 1 << (e.k2 - 1)
+    return CompositeAdjacency(K=inst.K, N=inst.N, blocks=tuple(map(tuple, rows)))
 
 
 def sub_adjacency(choice: SubChoice, inst: Instance) -> CompositeAdjacency:
-    """Composite adjacency of the sub-hypergraph selected by `choice`."""
-    _check_choice(choice, inst)
-    rows = [[0] * inst.K for _ in range(inst.N)]
-    for k in range(1, inst.K + 1):
-        for n in choice.demand_senders[k - 1]:
-            rows[n - 1][k - 1] |= 1 << (k - 1)
-        for m, n in choice.cached_edges[k - 1]:
+    """Composite adjacency of the sub-hypergraph selected by `choice`.
+
+    Only the shape is checked here: one entry per receiver, and every
+    selected cell names a message in 1..K and a sender in 1..N.  Each
+    cell is ORed into its block, and the matrix is returned only when
+    `fits` maps it back to `choice` itself, so `fits` is the one
+    statement of the fitting criterion and of the normalized form.
+    Anything else raises ValueError.
+    """
+    K, N = inst.K, inst.N
+    if any(len(f) != K for f in (choice.demand_senders, choice.cached_edges, choice.coupled_senders)):
+        raise ValueError("choice must carry one entry per receiver")
+    messages, senders = range(1, K + 1), range(1, N + 1)
+    rows = [[0] * K for _ in range(N)]
+    for k in messages:
+        cells = [(k, n) for n in choice.demand_senders[k - 1]]
+        cells += choice.cached_edges[k - 1]
+        cells += [(k2, n) for k2, ns in choice.coupled_senders[k - 1] for n in ns]
+        for m, n in cells:
+            if m not in messages or n not in senders:
+                raise ValueError(f"receiver {k}: no cell for message {m!r} at sender {n!r}")
             rows[n - 1][k - 1] |= 1 << (m - 1)
-        for k2, senders in choice.coupled_senders[k - 1]:
-            for n in senders:
-                rows[n - 1][k - 1] |= 1 << (k2 - 1)
-    return CompositeAdjacency(
-        K=inst.K, N=inst.N, blocks=tuple(tuple(r) for r in rows)
-    )
+    A = CompositeAdjacency(K=K, N=N, blocks=tuple(map(tuple, rows)))
+    if fits(A, inst) != choice:
+        raise ValueError("choice is not a normalized fitting selection of the instance")
+    return A
 
 
 def fits(A: CompositeAdjacency, inst: Instance) -> Optional[SubChoice]:

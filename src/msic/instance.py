@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import FrozenSet, List, Tuple
 
 __all__ = [
@@ -69,6 +70,16 @@ class Instance:
             out.append(f"expected {self.K} side-information sets, got {len(self.side_info)}")
         if out:
             raise InstanceValidationError(out)
+        # `_index_list`'s rule, over every member in one pass: an int, not a bool
+        if not {int}.issuperset(map(type, chain.from_iterable((*self.sender_stores, *self.side_info)))):
+            for n, store in enumerate(self.sender_stores, start=1):
+                out += [f"sender {n} stores non-integer member {m!r}"
+                        for m in store if type(m) is bool or not isinstance(m, int)]
+            for k, known in enumerate(self.side_info, start=1):
+                out += [f"receiver {k} has non-integer side information {m!r}"
+                        for m in known if type(m) is bool or not isinstance(m, int)]
+            if out:
+                raise InstanceValidationError(out)
         # one subset test per set; a set's messages are listed only when it fails
         K = self.K
         messages = frozenset(range(1, K + 1))

@@ -494,7 +494,7 @@ def test_reused_parser_leaks_nothing_between_calls(corpus_dir, capsys, monkeypat
         ["solve", ex1, "--json"],
     ]
     fresh = [_fresh_process(argv) for argv in sequence]
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     for argv, (rc, out, err) in zip(sequence, fresh):
         got_rc, got_out, got_err = _in_process(capsys, argv)
         assert (got_rc, _without_timings(got_out), got_err) == (
@@ -543,7 +543,7 @@ def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
         for sp in commands.values():
             sp.set_defaults(handler=lambda args: seen.append(args) or 0)
         direct = _parse_outcome(capsys, parse_in_main)
-        reference = _parse_outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+        reference = _parse_outcome(capsys, lambda: cli._parsers()[0].parse_args(argv))
     finally:
         for name, sp in commands.items():
             sp.set_defaults(handler=handlers[name])

@@ -166,6 +166,32 @@ def test_construction_is_the_one_gate(ex1):
     assert exc.value.violations == ["message 2 is stored at no sender"]
 
 
+def test_construction_rejects_non_integer_members():
+    # True == 1, so only the member's type tells it from message 1
+    with pytest.raises(InstanceValidationError) as exc:
+        Instance(
+            K=2,
+            N=1,
+            sender_stores=(frozenset({True, 2}),),
+            side_info=(frozenset(), frozenset({True})),
+        )
+    assert exc.value.violations == [
+        "sender 1 stores non-integer member True",
+        "receiver 2 has non-integer side information True",
+    ]
+    with pytest.raises(InstanceValidationError, match="non-integer member 1.0"):
+        Instance(K=2, N=1, sender_stores=(frozenset({1.0, 2}),), side_info=(frozenset(),) * 2)
+    with pytest.raises(InstanceValidationError, match="non-integer side information 'a'"):
+        Instance(K=2, N=1, sender_stores=(frozenset({1, 2}),), side_info=(frozenset({"a"}), frozenset()))
+
+    class Index(int):
+        pass
+
+    # an int subclass other than bool is an int, as in `_index_list`
+    inst = Instance(K=2, N=1, sender_stores=(frozenset({Index(1), 2}),), side_info=(frozenset(),) * 2)
+    assert inst.holders == ((1,), (1,))
+
+
 def _referee_violations(K, sender_stores, side_info):
     """The model-rule loops of `Instance.__post_init__` as they were
     before it tested each set with one subset test."""
